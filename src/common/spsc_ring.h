@@ -13,15 +13,28 @@
 //     store-releases tail_; the consumer load-acquires tail_ before
 //     reading those slots (and symmetrically store-releases head_ after
 //     moving items out, which the producer load-acquires before reusing
-//     the slots). These two release/acquire pairs are the only
-//     synchronization — there is no mutex anywhere.
-//   * Blocking edges (empty consumer, full producer under kBlock) use an
-//     escalating spin -> yield -> bounded-sleep backoff instead of a
-//     futex/doorbell. An edge-triggered doorbell on top of cached indices
-//     is a lost-wakeup trap (the producer can miss the empty->nonempty
-//     edge through its stale cache and never ring), whereas a sleep
-//     bounded at ~100us caps wake-up staleness without burning a core —
-//     on a 1-core CI host the sleep is what lets the other side run.
+//     the slots). These two release/acquire pairs are all the slots
+//     need — there is no mutex anywhere.
+//   * Blocking edges (empty consumer, full producer under kBlock) spin for
+//     kSpinRounds cpu_relax rounds, yield for kYieldRounds more (a few
+//     microseconds, enough to catch a peer publishing every few us without
+//     a wake-up; on a 1-core host the yield is what lets the peer run),
+//     then park on a futex: each side owns a padded doorbell word
+//     (consumer_parked_, producer_parked_) that it waits on with
+//     std::atomic::wait. Parking is a Dekker handshake, so no wake-up is
+//     lost even though the publisher only reads the word:
+//       parker:    parked = 1; seq_cst fence; re-check index and closed_;
+//                  wait while parked == 1
+//       publisher: release-store index; seq_cst fence; if parked == 1,
+//                  set it to 0 and notify
+//     The two fences are ordered in the single total order S. If the
+//     parker's fence comes first, the publisher's read sees parked == 1
+//     and rings; otherwise the parker's re-check sees the new index and it
+//     never sleeps. The publisher decides from the word, never from its
+//     cached view of the other index, so a stale cache cannot hide the
+//     empty->nonempty edge. close() takes the publisher's part for both
+//     words. The fence is the one extra cost on the hot path, once per
+//     batch; the word stays in the shared cache state until somebody parks.
 //
 // close() is the producer's end-of-stream signal: the consumer drains what
 // remains and wait_nonempty() then returns false. It also doubles as the
@@ -31,7 +44,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <thread>
@@ -51,29 +63,6 @@ inline void cpu_relax() {
   std::this_thread::yield();
 #endif
 }
-
-/// Escalating backoff for the ring's blocking edges: spin briefly (the
-/// other side may publish within nanoseconds), then yield, then sleep in
-/// doubling quanta capped at 128us so a blocked side never monopolizes a
-/// core and wake-up latency stays bounded.
-class Backoff {
- public:
-  void wait() {
-    if (rounds_ < 64) {
-      cpu_relax();
-    } else if (rounds_ < 80) {
-      std::this_thread::yield();
-    } else {
-      std::this_thread::sleep_for(std::chrono::microseconds(sleep_us_));
-      sleep_us_ = std::min<unsigned>(sleep_us_ * 2, 128);
-    }
-    ++rounds_;
-  }
-
- private:
-  int rounds_ = 0;
-  unsigned sleep_us_ = 1;
-};
 
 }  // namespace detail
 
@@ -109,6 +98,7 @@ class SpscRing {
       slots_[static_cast<size_t>(tail + i) & mask_] = std::move(items[i]);
     }
     tail_.store(tail + take, std::memory_order_release);
+    wake(consumer_parked_);
     // Occupancy against the producer's cached head: never above capacity,
     // may overestimate the instantaneous value by whatever the consumer
     // drained since the last refresh (conservative for a high-water mark).
@@ -124,19 +114,23 @@ class SpscRing {
   /// Block until at least one slot is free or the ring is closed.
   /// Returns false when closed (the push would be refused anyway).
   bool wait_notfull() {
-    detail::Backoff backoff;
-    for (;;) {
-      if (closed_.load(std::memory_order_acquire)) return false;
-      const uint64_t tail = tail_.load(std::memory_order_relaxed);
+    const uint64_t tail = tail_.load(std::memory_order_relaxed);
+    park_until(producer_parked_, producer_parks_, [&] {
+      if (closed_.load(std::memory_order_acquire)) return true;
       head_cache_ = head_.load(std::memory_order_acquire);
-      if (static_cast<size_t>(tail - head_cache_) < capacity()) return true;
-      backoff.wait();
-    }
+      return static_cast<size_t>(tail - head_cache_) < capacity();
+    });
+    return !closed_.load(std::memory_order_acquire);
   }
 
   /// End-of-stream (or abandon-stream): pushes are refused from here on;
-  /// the consumer drains the remainder and then sees "closed".
-  void close() { closed_.store(true, std::memory_order_release); }
+  /// the consumer drains the remainder and then sees "closed". Wakes
+  /// whichever side is parked; safe to call from any thread.
+  void close() {
+    closed_.store(true, std::memory_order_release);
+    wake(consumer_parked_);
+    wake(producer_parked_);
+  }
 
   bool closed() const { return closed_.load(std::memory_order_acquire); }
 
@@ -145,6 +139,16 @@ class SpscRing {
   /// from anywhere after the producer is done.
   size_t high_water() const {
     return static_cast<size_t>(high_water_.load(std::memory_order_relaxed));
+  }
+
+  /// How many times the producer parked in wait_notfull (full ring), and
+  /// the consumer in wait_nonempty (empty ring). Each is written by its
+  /// own side only and may be read from anywhere.
+  uint64_t producer_parks() const {
+    return producer_parks_.load(std::memory_order_relaxed);
+  }
+  uint64_t consumer_parks() const {
+    return consumer_parks_.load(std::memory_order_relaxed);
   }
 
   // ---- consumer side ------------------------------------------------------
@@ -164,6 +168,7 @@ class SpscRing {
       out.push_back(std::move(slots_[static_cast<size_t>(head + i) & mask_]));
     }
     head_.store(head + n, std::memory_order_release);
+    wake(producer_parked_);
     return n;
   }
 
@@ -173,15 +178,12 @@ class SpscRing {
   /// push never strands items: the producer stores tail before closed, so
   /// observing closed (acquire) makes the final tail visible.
   bool wait_nonempty() {
-    detail::Backoff backoff;
-    for (;;) {
-      const uint64_t head = head_.load(std::memory_order_relaxed);
-      if (tail_.load(std::memory_order_acquire) != head) return true;
-      if (closed_.load(std::memory_order_acquire)) {
-        return tail_.load(std::memory_order_acquire) != head;
-      }
-      backoff.wait();
-    }
+    const uint64_t head = head_.load(std::memory_order_relaxed);
+    park_until(consumer_parked_, consumer_parks_, [&] {
+      return tail_.load(std::memory_order_acquire) != head ||
+             closed_.load(std::memory_order_acquire);
+    });
+    return tail_.load(std::memory_order_acquire) != head;
   }
 
   /// Approximate occupancy (racy by nature; exact once both sides stop).
@@ -191,16 +193,63 @@ class SpscRing {
   }
 
  private:
+  static constexpr int kSpinRounds = 64;
+  static constexpr int kYieldRounds = 16;
+
+  /// The parking side of the handshake (see the header comment): spin and
+  /// yield, then announce on `word`, fence, and sleep only if ready()
+  /// still fails.
+  template <typename Ready>
+  static void park_until(std::atomic<uint32_t>& word,
+                         std::atomic<uint64_t>& parks, Ready ready) {
+    for (int spin = 0; !ready(); ++spin) {
+      if (spin < kSpinRounds) {
+        detail::cpu_relax();
+        continue;
+      }
+      if (spin < kSpinRounds + kYieldRounds) {
+        std::this_thread::yield();
+        continue;
+      }
+      word.store(1, std::memory_order_relaxed);
+      std::atomic_thread_fence(std::memory_order_seq_cst);
+      if (!ready()) {
+        parks.fetch_add(1, std::memory_order_relaxed);
+        word.wait(1, std::memory_order_relaxed);
+      }
+      word.store(0, std::memory_order_relaxed);
+    }
+  }
+
+  /// The publishing side: called after the index (or closed_) store.
+  /// The clearing store is seq_cst because notify_one skips its syscall
+  /// when it sees no registered waiter, and that check must not be
+  /// reordered before the store.
+  static void wake(std::atomic<uint32_t>& word) {
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    if (word.load(std::memory_order_relaxed) != 0) {
+      word.store(0, std::memory_order_seq_cst);
+      word.notify_one();
+    }
+  }
+
   // Consumer-owned index, producer-read: own cache line.
   alignas(64) std::atomic<uint64_t> head_{0};
   // Producer-owned index, consumer-read: own cache line.
   alignas(64) std::atomic<uint64_t> tail_{0};
-  // Producer-local view of head_ (also producer-only high-water mark).
+  // Producer-local view of head_, plus the producer-written statistics.
   alignas(64) uint64_t head_cache_ = 0;
   std::atomic<uint64_t> high_water_{0};
-  // Consumer-local view of tail_.
+  std::atomic<uint64_t> producer_parks_{0};
+  // Consumer-local view of tail_, plus the consumer-written statistic.
   alignas(64) uint64_t tail_cache_ = 0;
+  std::atomic<uint64_t> consumer_parks_{0};
   alignas(64) std::atomic<bool> closed_{false};
+  // Doorbell words, one per side: set by the parker, cleared by whoever
+  // rings it. Each on its own line, so a publisher's read stays a shared
+  // hit until the other side parks.
+  alignas(64) std::atomic<uint32_t> consumer_parked_{0};
+  alignas(64) std::atomic<uint32_t> producer_parked_{0};
 
   std::vector<T> slots_;
   size_t mask_ = 0;

@@ -408,7 +408,9 @@ IngestRuntime::IngestRuntime(Options opts, ScorerFactory factory,
                              &reg_->counter(sp + "scored"),
                              &reg_->counter(sp + "alerted"),
                              &reg_->counter(sp + "parse_skipped"),
-                             &reg_->gauge(sp + "ring.high_water")};
+                             &reg_->gauge(sp + "ring.high_water"),
+                             &reg_->counter(sp + "ring.consumer_parks"),
+                             &reg_->counter(sp + "ring.producer_parks")};
       }
     }
   }
@@ -884,17 +886,28 @@ Result<IngestStats> IngestRuntime::drive_sharded(
 
   // The driver runs on the calling thread; the shard feed routes each
   // offered frame by flow hash into the owning ring. Per-shard routed
-  // counts and ring high-water marks are mirrored into telemetry in
-  // periodic flushes, never per packet.
+  // counts, ring park counts and ring high-water marks are mirrored into
+  // telemetry in periodic flushes, never per packet.
   std::vector<uint64_t> routed(n_shards, 0);
   std::vector<uint64_t> routed_flushed(n_shards, 0);
+  std::vector<uint64_t> consumer_parks_flushed(n_shards, 0);
+  std::vector<uint64_t> producer_parks_flushed(n_shards, 0);
+  const auto mirror = [](telemetry::Counter* c, uint64_t now,
+                         uint64_t& flushed) {
+    if (now != flushed) {
+      c->add(now - flushed);
+      flushed = now;
+    }
+  };
   const auto flush_shard_telemetry = [&] {
     for (size_t i = 0; i < shard_instruments_.size(); ++i) {
-      if (routed[i] != routed_flushed[i]) {
-        shard_instruments_[i].routed->add(routed[i] - routed_flushed[i]);
-        routed_flushed[i] = routed[i];
-      }
-      shard_instruments_[i].ring_high_water->update_max(
+      const ShardInstruments& si = shard_instruments_[i];
+      mirror(si.routed, routed[i], routed_flushed[i]);
+      mirror(si.consumer_parks, rings[i]->consumer_parks(),
+             consumer_parks_flushed[i]);
+      mirror(si.producer_parks, rings[i]->producer_parks(),
+             producer_parks_flushed[i]);
+      si.ring_high_water->update_max(
           static_cast<double>(rings[i]->high_water()));
     }
   };

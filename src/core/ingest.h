@@ -496,6 +496,8 @@ class IngestRuntime {
     telemetry::Counter* alerted = nullptr;
     telemetry::Counter* parse_skipped = nullptr;
     telemetry::Gauge* ring_high_water = nullptr;
+    telemetry::Counter* consumer_parks = nullptr;
+    telemetry::Counter* producer_parks = nullptr;
   };
 
   /// Per-tenant isolation state: a dedicated hot-swap slot plus the

@@ -412,23 +412,16 @@ double AutoEncoderCore::score_sample(std::span<const double> x,
 
 void AutoEncoderCore::score_batch(const double* x, size_t m, size_t ldx,
                                   double* out, BatchScratch& scratch) const {
-  scratch.z.resize(m * dim_);
-  // Hoist the per-column reciprocal range out of the row loop: dim_
-  // divisions per block instead of one per element (divisions dominate the
-  // normalize cost at KitNET-sized layers). Multiplying by 1/range instead
-  // of dividing differs from the per-row path by at most 1 ulp.
-  scratch.inv.resize(dim_);
-  for (size_t c = 0; c < dim_; ++c) {
-    const double range = norm_max_[c] - norm_min_[c];
-    scratch.inv[c] = range > 1e-12 ? 1.0 / range : 0.0;
+  // Multiply by the reciprocal range instead of dividing: the divisions
+  // dominate the normalize cost at KitNET-sized layers. A sealed core reuses
+  // the reciprocals seal() cached; an unsealed one computes them per call.
+  // Either way this differs from the per-row path by at most 1 ulp.
+  const double* inv = norm_inv_.data();
+  if (!sealed_) {
+    fill_norm_inv(scratch.inv);
+    inv = scratch.inv.data();
   }
-  for (size_t i = 0; i < m; ++i) {
-    const double* xi = x + i * ldx;
-    double* zi = scratch.z.data() + i * dim_;
-    for (size_t c = 0; c < dim_; ++c) {
-      zi[c] = std::clamp((xi[c] - norm_min_[c]) * scratch.inv[c], 0.0, 1.0);
-    }
-  }
+  normalize_block(x, m, ldx, inv, scratch.z);
   scratch.h.resize(m * hidden_);
   dense::gemm_nt(m, hidden_, dim_, scratch.z.data(), dim_, w1_.data(), dim_,
                  b1_.data(), 0.0, scratch.h.data(), hidden_);
@@ -458,7 +451,29 @@ void AutoEncoderCore::score_batch(const double* x, size_t m, size_t ldx,
   }
 }
 
+void AutoEncoderCore::fill_norm_inv(std::vector<double>& inv) const {
+  inv.resize(dim_);
+  for (size_t c = 0; c < dim_; ++c) {
+    const double range = norm_max_[c] - norm_min_[c];
+    inv[c] = range > 1e-12 ? 1.0 / range : 0.0;
+  }
+}
+
+void AutoEncoderCore::normalize_block(const double* x, size_t m, size_t ldx,
+                                      const double* inv,
+                                      std::vector<double>& z) const {
+  z.resize(m * dim_);
+  for (size_t i = 0; i < m; ++i) {
+    const double* xi = x + i * ldx;
+    double* zi = z.data() + i * dim_;
+    for (size_t c = 0; c < dim_; ++c) {
+      zi[c] = std::clamp((xi[c] - norm_min_[c]) * inv[c], 0.0, 1.0);
+    }
+  }
+}
+
 void AutoEncoderCore::seal() {
+  fill_norm_inv(norm_inv_);
   enc_.pack(hidden_, dim_, w1_.data(), dim_, b1_.data());
   dec_.pack(dim_, hidden_, w2_.data(), hidden_, b2_.data());
   sealed_ = true;
@@ -475,21 +490,8 @@ void AutoEncoderCore::score_rows(const double* x, size_t m, size_t ldx,
   }
   const size_t hp = enc_.padded_out();
   const size_t dp = dec_.padded_out();
-  // Same hoisted-reciprocal normalization as score_batch; inv depends only
-  // on the (sealed) normalization ranges, never on m.
-  scratch.inv.resize(dim_);
-  for (size_t c = 0; c < dim_; ++c) {
-    const double range = norm_max_[c] - norm_min_[c];
-    scratch.inv[c] = range > 1e-12 ? 1.0 / range : 0.0;
-  }
-  scratch.z.resize(m * dim_);
-  for (size_t i = 0; i < m; ++i) {
-    const double* xi = x + i * ldx;
-    double* zi = scratch.z.data() + i * dim_;
-    for (size_t c = 0; c < dim_; ++c) {
-      zi[c] = std::clamp((xi[c] - norm_min_[c]) * scratch.inv[c], 0.0, 1.0);
-    }
-  }
+  // Same reciprocal normalization as score_batch, from the sealed ranges.
+  normalize_block(x, m, ldx, norm_inv_.data(), scratch.z);
   scratch.h.resize(m * hp);
   enc_.apply(m, scratch.z.data(), dim_, scratch.h.data(), hp);
   // Activations sweep per row (true width, padded stride): the sweep

@@ -114,7 +114,7 @@ class AutoEncoderCore {
     std::vector<double> z;    // m x dim normalized inputs
     std::vector<double> h;    // m x hidden
     std::vector<double> y;    // m x dim reconstructions
-    std::vector<double> inv;  // dim reciprocal normalization ranges
+    std::vector<double> inv;  // dim reciprocal ranges (unsealed cores only)
   };
 
   /// Buffers for the fused micro-batch path (score_rows). Like ScoreScratch,
@@ -123,7 +123,6 @@ class AutoEncoderCore {
     std::vector<double> z;    // m x dim normalized inputs
     std::vector<double> h;    // m x padded hidden activations
     std::vector<double> y;    // m x padded reconstructions
-    std::vector<double> inv;  // dim reciprocal normalization ranges
     ScoreScratch row;         // unsealed fallback
   };
 
@@ -143,9 +142,11 @@ class AutoEncoderCore {
                    BatchScratch& scratch) const;
 
   /// Pack the current weights into the PackedDense layout used by
-  /// score_rows. Called once when training finishes (the owning fit());
-  /// any later train_sample invalidates the seal. Packing is explicit —
-  /// not lazy — so the const score paths stay safe to call concurrently.
+  /// score_rows, and cache the reciprocal normalization ranges that
+  /// score_rows and score_batch scale by. Called once when training
+  /// finishes (the owning fit()); any later train_sample invalidates the
+  /// seal. Packing is explicit — not lazy — so the const score paths stay
+  /// safe to call concurrently.
   void seal();
   bool sealed() const { return sealed_; }
 
@@ -181,6 +182,11 @@ class AutoEncoderCore {
   std::vector<double> normalize(std::span<const double> x) const;
   void normalize_into(std::span<const double> x, std::vector<double>& z) const;
   void update_norm(std::span<const double> x);
+  /// inv[c] = 1 / (max - min) of column c, or 0 for a degenerate range.
+  void fill_norm_inv(std::vector<double>& inv) const;
+  /// z = the m x dim block x (row stride ldx) scaled to [0, 1] by inv.
+  void normalize_block(const double* x, size_t m, size_t ldx,
+                       const double* inv, std::vector<double>& z) const;
 
   size_t dim_;
   size_t hidden_;
@@ -190,6 +196,7 @@ class AutoEncoderCore {
   dense::PackedDense enc_, dec_;  // packed w1/w2 panels (valid iff sealed_)
   bool sealed_ = false;
   std::vector<double> norm_min_, norm_max_;
+  std::vector<double> norm_inv_;  // fill_norm_inv at seal() (valid iff sealed_)
   bool norm_init_ = false;
   // Reused train_sample buffers (z, h, y, dy, dh, dvec); copying a core
   // copies them harmlessly.

@@ -381,6 +381,53 @@ TEST(ShardedRuntime, PerShardTelemetrySumsToTotals) {
   EXPECT_EQ(static_cast<uint64_t>(sink.alerts().size()), s.alerted);
 }
 
+TEST(ShardedRuntime, PacedRunRecordsRingParksPerShard) {
+  // 400 packets 10 ms apart, replayed at 50x: 0.2 ms gaps, far longer than
+  // a consumer's spin, so idle consumers park between packets. The whole
+  // run fits in the default 4096-slot rings, so the producer never parks.
+  const Trace t = make_multiflow_trace(400);
+  ReplayOptions replay;
+  replay.pace = true;
+  replay.speed = 50.0;
+
+  telemetry::Registry reg;
+  IngestRuntime::Options opts;
+  opts.shards = 2;
+  opts.registry = &reg;
+  CollectingSink sink;
+  IngestRuntime rt(
+      opts,
+      [](size_t) {
+        return std::make_unique<FnScorer>(
+            [](const netio::PacketView& v) {
+              return static_cast<double>(v.payload_len);
+            },
+            1e9);
+      },
+      &sink);
+  TraceReplaySource src(t, replay);
+  auto stats = rt.run(src);
+  ASSERT_TRUE(stats.ok());
+  const IngestStats& s = stats.value();
+  ASSERT_EQ(s.enqueued, static_cast<uint64_t>(t.raw.size()));
+
+  uint64_t consumer_parks = 0, producer_parks = 0, routed = 0;
+  for (int i = 0; i < 2; ++i) {
+    const std::string p = "ingest.shard" + std::to_string(i) + ".";
+    const uint64_t shard_routed = reg.counter(p + "routed").value();
+    const uint64_t parks = reg.counter(p + "ring.consumer_parks").value();
+    // Every park ends with one wake: one per accepted push, or the close.
+    EXPECT_LE(parks, shard_routed + 1) << "shard " << i;
+    consumer_parks += parks;
+    producer_parks += reg.counter(p + "ring.producer_parks").value();
+    routed += shard_routed;
+  }
+  EXPECT_EQ(routed, s.enqueued);
+  EXPECT_GT(consumer_parks, 0u);
+  EXPECT_LE(consumer_parks, s.enqueued + 2);
+  EXPECT_EQ(producer_parks, 0u);
+}
+
 TEST(ShardedRuntime, HotSwapDuringPacedReplayKeepsAccountingExact) {
   // 1600 packets 10 ms apart, replayed paced at 50x: the run is pinned to
   // ~320 ms of wall clock, so a deploy() at 60 ms lands mid-stream

@@ -2,10 +2,14 @@
 // ingest path. Single-threaded tests pin the index arithmetic (wrap-around,
 // batched claim/publish, full/empty/closed edges); the two-thread stresses
 // are the TSan targets — FIFO integrity across millions of wraps for the
-// ring, no torn value and bounded node retention for the slot.
+// ring, no torn value and bounded node retention for the slot. The parking
+// tests drive each blocking edge into its futex wait and check that every
+// waker (push, pop, close) gets it out; a lost wake-up shows as a hang,
+// which the ctest timeout turns into a failure.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <thread>
@@ -122,7 +126,7 @@ TEST(SpscRing, HighWaterTracksPeakOccupancy) {
 }
 
 // The TSan target: one producer and one consumer hammer a tiny ring so
-// every publication path (batched push, batched pop, wait/backoff, close)
+// every publication path (batched push, batched pop, wait/park, close)
 // races constantly. The consumer checks the exact FIFO sequence, which
 // fails loudly if a slot is ever read before its release-store published it.
 TEST(SpscRing, TwoThreadStressKeepsFifo) {
@@ -158,7 +162,9 @@ TEST(SpscRing, TwoThreadStressKeepsFifo) {
     while (done < n) {
       const size_t accepted = ring.try_push(batch + done, n - done);
       done += static_cast<uint32_t>(accepted);
-      if (accepted == 0) ASSERT_TRUE(ring.wait_notfull());
+      if (accepted == 0) {
+        ASSERT_TRUE(ring.wait_notfull());
+      }
     }
     next += n;
   }
@@ -167,6 +173,114 @@ TEST(SpscRing, TwoThreadStressKeepsFifo) {
   EXPECT_TRUE(ok.load());
   EXPECT_GE(ring.high_water(), 1u);
   EXPECT_LE(ring.high_water(), ring.capacity());
+}
+
+/// The pause before ping `round`: a busy-wait of 0-16 us, rising in 40 ns
+/// steps with the round and wrapping every 400 rounds. The sweep crosses
+/// the point where a waiter's spin and yield rounds run out (a few
+/// microseconds, by host) in small steps, so some publishes land just as
+/// the waiter announces its park: the window in which a handshake without
+/// the re-check loses the wake-up. Every 64th round sleeps instead, so the
+/// waiter parks even where its yields would hand the CPU to this thread.
+void idle_for_round(uint32_t round) {
+  if (round % 64 == 0) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+    return;
+  }
+  const auto until = std::chrono::steady_clock::now() +
+                     std::chrono::nanoseconds((round % 400u) * 40u);
+  while (std::chrono::steady_clock::now() < until) {
+  }
+}
+
+/// Spin until `parks()` reports a parked waiter (the counter is bumped just
+/// before the futex wait, so the waker may race into the wait itself).
+template <typename Parks>
+void await_park(Parks parks) {
+  while (parks() == 0) std::this_thread::yield();
+}
+
+// One item per round through a ping ring and back through a pong ring. The
+// main thread idles before each ping; the echo thread waits for it in
+// wait_nonempty and parks whenever the idle outlasts its spin and yield
+// rounds. The main thread polls pong without parking, so it is awake at
+// every point of the echo's spin-to-park edge, and the idle sweep lands
+// some pings right where the echo announces its park. Every round waits
+// for its answer, so a lost wake-up hangs here.
+TEST(SpscRing, PingPongThroughParkingConsumerKeepsFifo) {
+  constexpr uint32_t kRounds = 20000;
+  SpscRing<uint32_t> ping(4);
+  SpscRing<uint32_t> pong(4);
+  std::atomic<bool> ok{true};
+
+  std::thread echo([&] {
+    std::vector<uint32_t> out;
+    uint32_t expect = 0;
+    while (ping.wait_nonempty()) {
+      ping.try_pop(out, 4);
+      for (uint32_t v : out) {
+        if (v != expect++) ok.store(false);
+        if (!pong.try_push(std::move(v))) ok.store(false);  // one in flight
+      }
+    }
+    if (expect != kRounds) ok.store(false);
+  });
+
+  std::vector<uint32_t> back;
+  uint32_t round = 0;
+  for (; round < kRounds; ++round) {
+    idle_for_round(round);
+    uint32_t v = round;
+    if (!ping.try_push(std::move(v))) break;  // echo drained the last one
+    // Poll hot so the next ping can follow at once; yield only when the
+    // echo is slow to answer, which on a single core means it needs to run.
+    for (int polls = 0; pong.try_pop(back, 4) == 0; ++polls) {
+      if (polls > 4096) std::this_thread::yield();
+    }
+    if (back.size() != 1 || back[0] != round) break;
+  }
+  ping.close();
+  echo.join();
+  EXPECT_EQ(round, kRounds);
+  EXPECT_TRUE(ok.load());
+  EXPECT_GT(ping.consumer_parks(), 0u);
+  EXPECT_LE(ping.consumer_parks(), uint64_t{kRounds} + 1);
+}
+
+TEST(SpscRing, CloseWakesParkedConsumer) {
+  SpscRing<int> ring(4);
+  std::atomic<int> result{-1};
+  std::thread consumer([&] { result.store(ring.wait_nonempty() ? 1 : 0); });
+  await_park([&] { return ring.consumer_parks(); });
+  ring.close();
+  consumer.join();
+  EXPECT_EQ(result.load(), 0);  // closed and drained: end of stream
+}
+
+TEST(SpscRing, CloseWakesParkedProducer) {
+  SpscRing<int> ring(2);
+  int vals[2] = {1, 2};
+  ASSERT_EQ(ring.try_push(vals, 2), 2u);
+  std::atomic<int> result{-1};
+  std::thread producer([&] { result.store(ring.wait_notfull() ? 1 : 0); });
+  await_park([&] { return ring.producer_parks(); });
+  ring.close();
+  producer.join();
+  EXPECT_EQ(result.load(), 0);  // closed: stop pushing
+}
+
+TEST(SpscRing, PopWakesProducerParkedOnFullRing) {
+  SpscRing<int> ring(2);
+  int vals[2] = {1, 2};
+  ASSERT_EQ(ring.try_push(vals, 2), 2u);
+  std::atomic<int> result{-1};
+  std::thread producer([&] { result.store(ring.wait_notfull() ? 1 : 0); });
+  await_park([&] { return ring.producer_parks(); });
+  std::vector<int> out;
+  ASSERT_EQ(ring.try_pop(out, 1), 1u);
+  producer.join();
+  EXPECT_EQ(result.load(), 1);  // a slot is free
+  EXPECT_EQ(ring.consumer_parks(), 0u);
 }
 
 TEST(ModelSlot, PinReturnsInitialValue) {
