@@ -19,6 +19,12 @@ namespace lumen::netio {
 
 namespace {
 
+// How long poll_once keeps polling epoll without blocking before it falls
+// through to a blocking epoll_wait. A gateway at light load sees a frame
+// about every 10 us, so a 50 us budget keeps the loop thread awake across
+// the gaps of a live stream, while an idle tick costs at most one budget.
+constexpr double kSpinBudgetSec = 50e-6;
+
 double mono_now() {
   timespec ts{};
   clock_gettime(CLOCK_MONOTONIC, &ts);
@@ -86,12 +92,20 @@ struct EventLoop::Entry {
 
 struct EventLoop::Impl {
   std::unordered_map<uint64_t, Entry> entries;
+  // The one buffer every recv() lands in, allocated once. Reusing it is
+  // safe because read_stream copies the bytes into Entry::buf before
+  // deliver() hands them to the protocol, on_datagram consumes its bytes
+  // before returning, and no Protocol callback re-enters read_stream or
+  // read_datagrams. Keep it that way.
+  std::vector<uint8_t> read_buf;
 };
 
 EventLoop::EventLoop(Options opts, Protocol& protocol)
     : opts_(Options::normalized(std::move(opts), nullptr)),
       protocol_(protocol),
-      impl_(new Impl) {}
+      impl_(new Impl) {
+  impl_->read_buf.resize(opts_.read_chunk);
+}
 
 EventLoop::~EventLoop() {
   shutdown(/*abort_connections=*/true);
@@ -114,8 +128,7 @@ Result<uint64_t> EventLoop::add_socket(int fd, bool listener, bool udp,
   const uint64_t id = next_id_++;
   epoll_event ev{};
   ev.events = EPOLLIN;
-  if (!listener && !udp && opts_.edge_triggered) ev.events |= EPOLLET;
-  if (!listener && !udp) ev.events |= EPOLLRDHUP;
+  if (!listener && !udp) ev.events |= EPOLLET | EPOLLRDHUP;
   ev.data.u64 = id;
   if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
     ::close(fd);
@@ -210,8 +223,7 @@ void EventLoop::resume(uint64_t conn) {
   e.last_activity = e.window_start = now;
   e.window_bytes = 0;
   epoll_event ev{};
-  ev.events = EPOLLIN | EPOLLRDHUP;
-  if (opts_.edge_triggered) ev.events |= EPOLLET;
+  ev.events = EPOLLIN | EPOLLRDHUP | EPOLLET;
   ev.data.u64 = conn;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, e.fd, &ev);
   // The edge that announced bytes arriving while paused has already fired;
@@ -297,7 +309,7 @@ void EventLoop::deliver(Entry& conn) {
 
 void EventLoop::read_stream(Entry& conn) {
   const uint64_t id = conn.id;
-  std::vector<uint8_t> chunk(opts_.read_chunk);
+  std::vector<uint8_t>& chunk = impl_->read_buf;
   for (;;) {
     if (conn.paused) return;  // backpressure: leave bytes in the kernel
     const ssize_t n = ::recv(conn.fd, chunk.data(), chunk.size(), 0);
@@ -308,8 +320,6 @@ void EventLoop::read_stream(Entry& conn) {
       conn.buf.insert(conn.buf.end(), chunk.data(), chunk.data() + n);
       deliver(conn);
       if (impl_->entries.count(id) == 0) return;  // deliver closed it
-      // Level-triggered fallback: one chunk per event; epoll re-reports.
-      if (!opts_.edge_triggered) return;
       continue;
     }
     if (n == 0) {
@@ -329,7 +339,7 @@ void EventLoop::read_stream(Entry& conn) {
 
 void EventLoop::read_datagrams(Entry& sock) {
   const uint64_t id = sock.id;
-  std::vector<uint8_t> chunk(opts_.read_chunk);
+  std::vector<uint8_t>& chunk = impl_->read_buf;
   // Bound one event's drain so a datagram flood cannot starve the tick and
   // the timeout sweeps (the socket stays armed; epoll re-reports).
   for (int i = 0; i < 4096; ++i) {
@@ -374,7 +384,18 @@ Result<void> EventLoop::poll_once(int timeout_ms) {
     return Error::make("EventLoop::poll_once", "init() not called");
   epoll_event events[64];
   const int wait_ms = timeout_ms >= 0 ? timeout_ms : opts_.poll_interval_ms;
-  const int n = ::epoll_wait(epoll_fd_, events, 64, wait_ms);
+  // Spin, then block: a frame that arrives within the budget is picked up
+  // without waiting for the loop thread to be woken.
+  int n = ::epoll_wait(epoll_fd_, events, 64, 0);
+  if (n == 0 && wait_ms != 0) {
+    const double spin_until = mono_now() + kSpinBudgetSec;
+    while (n == 0 && mono_now() < spin_until)
+      n = ::epoll_wait(epoll_fd_, events, 64, 0);
+    if (n == 0) {
+      ++blocking_waits_total_;
+      n = ::epoll_wait(epoll_fd_, events, 64, wait_ms);
+    }
+  }
   if (n < 0 && errno != EINTR)
     return sys_error("EventLoop::poll_once", "epoll_wait");
   for (int i = 0; i < (n > 0 ? n : 0); ++i) {

@@ -7,12 +7,23 @@
 //   - accept4(SOCK_NONBLOCK) in a drain loop: a burst of connections on one
 //     readiness event must all be accepted before returning to epoll_wait,
 //     or edge-triggered mode strands the remainder.
-//   - Edge-triggered reads by default (one wakeup per burst), with a
-//     level-triggered fallback (`edge_triggered = false`) for debugging and
-//     for platforms where ET semantics are suspect. In ET mode every read
-//     drains to EAGAIN; a paused connection (backpressure) drops EPOLLIN
-//     from its interest set, and resume() must re-attempt a read directly
-//     because the edge that announced those bytes has already fired.
+//   - Edge-triggered reads are the only mode (one wakeup per burst): every
+//     read drains to EAGAIN. A paused connection (backpressure) drops
+//     EPOLLIN from its interest set, and resume() must re-attempt a read
+//     directly because the edge that announced those bytes has already
+//     fired.
+//   - Spin, then block. When the caller allows a blocking wait, poll_once
+//     first polls epoll without blocking for a fixed 50 us budget, and only
+//     then blocks in epoll_wait (blocking_waits_total() counts those). At
+//     light load a gateway sees a frame about every 10 us, so the loop
+//     thread stays awake between frames instead of being woken for each
+//     one. The cost is one busy core while frames arrive closer together
+//     than the budget; at idle the loop still sleeps, and each idle tick
+//     spends at most one budget polling.
+//   - One read buffer of read_chunk bytes, allocated once and shared by
+//     every socket. Bytes are copied into the connection's own buffer
+//     before the protocol sees them; sharing is safe only while no
+//     Protocol callback re-enters the loop's read path.
 //   - Low-and-slow defense in the style of slowloris mitigations: clients
 //     that hold a connection while dribbling bytes below a configurable
 //     rate floor are closed (kSlowClient), and wholly idle connections are
@@ -52,9 +63,6 @@ const char* close_reason_name(CloseReason r);
 class EventLoop {
  public:
   struct Options {
-    /// Edge-triggered reads (one wakeup per burst). false = level-triggered
-    /// fallback: simpler semantics, more wakeups under load.
-    bool edge_triggered = true;
     /// Close a connection after this many seconds without any bytes.
     /// 0 disables the idle sweep.
     double idle_timeout = 30.0;
@@ -65,13 +73,14 @@ class EventLoop {
     /// Length of the rate-measurement window in seconds. The first window
     /// doubles as the grace period before enforcement starts.
     double rate_window = 5.0;
-    /// Per-read buffer size; ET mode loops this until EAGAIN.
+    /// Size of the loop's one read buffer; a readiness event reads in
+    /// chunks of this size until EAGAIN.
     size_t read_chunk = 64 * 1024;
     /// Cap on bytes buffered for one connection awaiting protocol consume
     /// (a frame bigger than this can never complete -> kProtocolError).
     size_t max_conn_buffer = 1 << 20;
-    /// epoll_wait timeout: bounds the latency of timeout sweeps and
-    /// on_tick callbacks when no socket activity arrives.
+    /// Blocking epoll_wait timeout (after the spin budget): bounds the
+    /// latency of timeout sweeps when no socket activity arrives.
     int poll_interval_ms = 20;
 
     static Options normalized(Options opts, std::string* diagnostic);
@@ -134,10 +143,11 @@ class EventLoop {
 
   void close_conn(uint64_t conn, CloseReason reason);
 
-  /// Run one wait/dispatch/sweep cycle (blocks at most poll_interval_ms,
-  /// or `timeout_ms` when >= 0 — pass 0 for a non-blocking poll while the
-  /// caller has its own pending work to get back to). Safe to call after
-  /// shutdown() to drain remaining connections.
+  /// Run one wait/dispatch/sweep cycle: spin for the budget, then block at
+  /// most poll_interval_ms, or `timeout_ms` when >= 0 — pass 0 for a
+  /// non-blocking poll (no spin) while the caller has its own pending work
+  /// to get back to. Safe to call after shutdown() to drain remaining
+  /// connections.
   Result<void> poll_once(int timeout_ms = -1);
 
   /// Graceful drain: close listeners (and UDP sockets) so no new traffic
@@ -153,6 +163,9 @@ class EventLoop {
   uint64_t idle_closed_total() const { return idle_closed_total_; }
   uint64_t slow_closed_total() const { return slow_closed_total_; }
   uint64_t bytes_read_total() const { return bytes_read_total_; }
+  /// poll_once calls whose spin budget ran out so they blocked in
+  /// epoll_wait.
+  uint64_t blocking_waits_total() const { return blocking_waits_total_; }
 
   /// Number of fds the loop currently owns (epoll + listeners + conns);
   /// 0 after teardown — the fd-hygiene tests assert through this.
@@ -185,6 +198,7 @@ class EventLoop {
   uint64_t idle_closed_total_ = 0;
   uint64_t slow_closed_total_ = 0;
   uint64_t bytes_read_total_ = 0;
+  uint64_t blocking_waits_total_ = 0;
 };
 
 }  // namespace lumen::netio

@@ -256,6 +256,7 @@ GatewayFrontend::GatewayFrontend(FrontendOptions opts)
   shed_ = &registry_->counter(p + "shed");
   datagrams_ = &registry_->counter(p + "datagrams");
   open_conns_ = &registry_->gauge(p + "conn.open");
+  blocking_waits_ = &registry_->counter(p + "loop.blocking_waits");
   staged_depth_ = &registry_->gauge(p + "staged.depth");
   staged_high_water_ = &registry_->gauge(p + "staged.high_water");
 }
@@ -466,6 +467,7 @@ void GatewayFrontend::finalize_conn(uint64_t conn, ConnState& st,
 
 bool GatewayFrontend::flush_staged() {
   if (feed_ == nullptr) return false;
+  if (staged_total_ == 0) return true;
   // Orphaned frames (their connection already closed) go first.
   while (!orphaned_.empty()) {
     const FeedStatus s = feed_->offer(orphaned_.front());
@@ -546,7 +548,14 @@ Result<void> GatewayFrontend::drive(FrameFeed& feed,
       feed_ = nullptr;
       return polled.error();
     }
-    {
+    const uint64_t waits = loop_.blocking_waits_total();
+    if (waits != blocking_waits_seen_) {
+      blocking_waits_->add(waits - blocking_waits_seen_);
+      blocking_waits_seen_ = waits;
+    }
+    // At light load the loop returns about once per frame; with nothing
+    // staged there is nothing to flush and no span to record.
+    if (staged_total_ != 0) {
       telemetry::Span flush_span(registry_,
                                  opts_.instrument_prefix + "flush");
       flush_span.set_value(staged_total_);

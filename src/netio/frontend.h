@@ -274,9 +274,11 @@ class GatewayFrontend : public SourceDriver, private EventLoop::Protocol {
   telemetry::Counter* shed_ = nullptr;
   telemetry::Counter* datagrams_ = nullptr;
   telemetry::Gauge* open_conns_ = nullptr;
+  telemetry::Counter* blocking_waits_ = nullptr;  // loop.blocking_waits
   telemetry::Gauge* staged_depth_ = nullptr;
   telemetry::Gauge* staged_high_water_ = nullptr;
   size_t staged_total_ = 0;
+  uint64_t blocking_waits_seen_ = 0;  // loop count already mirrored
 };
 
 }  // namespace lumen::netio
