@@ -105,8 +105,8 @@ int main(int argc, char** argv) {
   netio::TraceReplaySource rest(live, replay);
 
   TimelineSink sink(ds.pkt_label);
+  // One shard (the default) keeps the timeline in capture order.
   core::IngestRuntime::Options opts;
-  opts.consumers = 1;  // one consumer keeps the timeline in capture order
   // Instruments land in a registry a monitoring agent could scrape mid-run;
   // here we use an example-local one and dump it after the stream ends.
   telemetry::Registry registry;

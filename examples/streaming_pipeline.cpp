@@ -123,8 +123,7 @@ int main() {
       front + R"({"func": "predict", "input": ["Model", "N"],
                   "output": "Preds"},)");
   telemetry::Registry registry;
-  core::IngestRuntime::Options opts;
-  opts.consumers = 1;  // one chain keeps epochs in capture order
+  core::IngestRuntime::Options opts;  // one shard keeps epochs in order
   opts.registry = &registry;
   opts.instrument_prefix = "gateway.";
   EpochPrinter sink;

@@ -21,161 +21,10 @@ const char* overflow_policy_name(OverflowPolicy p) {
   switch (p) {
     case OverflowPolicy::kBlock:
       return "kBlock";
-    case OverflowPolicy::kDropOldest:
-      return "kDropOldest";
     case OverflowPolicy::kDropNewest:
       return "kDropNewest";
   }
   return "unknown";
-}
-
-BoundedPacketQueue::BoundedPacketQueue(size_t capacity, OverflowPolicy policy)
-    : capacity_(capacity == 0 ? 1 : capacity), policy_(policy) {}
-
-netio::FeedStatus BoundedPacketQueue::offer(netio::SourcePacket&& p) {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (closed_) return netio::FeedStatus::kClosed;
-  bool evicted = false;
-  if (q_.size() >= capacity_) {
-    switch (policy_) {
-      case OverflowPolicy::kBlock:
-        return netio::FeedStatus::kBusy;  // p untouched; caller waits
-      case OverflowPolicy::kDropOldest:
-        q_.pop_front();
-        note_drop_locked();
-        evicted = true;  // enqueue p in the freed slot below
-        break;
-      case OverflowPolicy::kDropNewest:
-        note_drop_locked();
-        return netio::FeedStatus::kShed;  // p discarded
-    }
-  }
-  const bool was_empty = q_.empty();
-  q_.push_back(std::move(p));
-  high_water_ = std::max(high_water_, q_.size());
-  note_size_locked();
-  lock.unlock();
-  // Consumers only sleep on an empty queue, so only the empty->non-empty
-  // transition needs a wakeup; steady-state pushes skip the notify.
-  if (was_empty) not_empty_.notify_one();
-  return evicted ? netio::FeedStatus::kShed : netio::FeedStatus::kAccepted;
-}
-
-bool BoundedPacketQueue::wait_notfull() {
-  std::unique_lock<std::mutex> lock(mu_);
-  not_full_.wait(lock, [this] { return q_.size() < capacity_ || closed_; });
-  return !closed_;
-}
-
-bool BoundedPacketQueue::push(netio::SourcePacket p) {
-  for (;;) {
-    switch (offer(std::move(p))) {
-      case netio::FeedStatus::kAccepted:
-      case netio::FeedStatus::kShed:
-        return true;
-      case netio::FeedStatus::kClosed:
-        return false;
-      case netio::FeedStatus::kBusy:
-        if (!wait_notfull()) return false;
-        break;  // room appeared (or raced away): retry the offer
-    }
-  }
-}
-
-bool BoundedPacketQueue::pop(netio::SourcePacket& out) {
-  std::unique_lock<std::mutex> lock(mu_);
-  not_empty_.wait(lock, [this] { return !q_.empty() || closed_; });
-  if (q_.empty()) return false;  // closed and drained
-  const bool was_full = q_.size() >= capacity_;
-  out = std::move(q_.front());
-  q_.pop_front();
-  note_size_locked();
-  const bool still_nonempty = !q_.empty();
-  lock.unlock();
-  if (was_full) not_full_.notify_one();
-  if (still_nonempty) not_empty_.notify_one();
-  return true;
-}
-
-size_t BoundedPacketQueue::pop_batch(std::vector<netio::SourcePacket>& out,
-                                     size_t max) {
-  out.clear();
-  if (max == 0) max = 1;
-  std::unique_lock<std::mutex> lock(mu_);
-  not_empty_.wait(lock, [this] { return !q_.empty() || closed_; });
-  if (q_.empty()) return 0;  // closed and drained
-  const bool was_full = q_.size() >= capacity_;
-  const size_t n = std::min(max, q_.size());
-  for (size_t i = 0; i < n; ++i) {
-    out.push_back(std::move(q_.front()));
-    q_.pop_front();
-  }
-  note_size_locked();
-  const bool still_nonempty = !q_.empty();
-  lock.unlock();
-  // A blocked producer only waits while the queue is at capacity.
-  if (was_full) not_full_.notify_one();
-  // If packets remain, another consumer can run concurrently; hand the
-  // wakeup on since push() only notifies on the empty->non-empty edge.
-  if (still_nonempty) not_empty_.notify_one();
-  return n;
-}
-
-void BoundedPacketQueue::close() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    closed_ = true;
-  }
-  not_full_.notify_all();
-  not_empty_.notify_all();
-}
-
-void BoundedPacketQueue::attach_telemetry(telemetry::Gauge* depth,
-                                          telemetry::Gauge* high_water,
-                                          telemetry::Counter* dropped) {
-  std::lock_guard<std::mutex> lock(mu_);
-  depth_gauge_ = depth;
-  high_water_gauge_ = high_water;
-  dropped_counter_ = dropped;
-  // Catch the mirror up with drops that predate attachment; from here on
-  // note_drop_locked keeps counter and dropped_ in lockstep. Without this,
-  // pre-attach drops were lost from the mirror for good and dropped() and
-  // the counter disagreed for the rest of the queue's life.
-  if (dropped_counter_ != nullptr && mirrored_dropped_ < dropped_) {
-    dropped_counter_->add(dropped_ - mirrored_dropped_);
-    mirrored_dropped_ = dropped_;
-  }
-  note_size_locked();
-}
-
-void BoundedPacketQueue::note_size_locked() {
-  if (depth_gauge_ != nullptr) {
-    depth_gauge_->set(static_cast<double>(q_.size()));
-  }
-  if (high_water_gauge_ != nullptr) {
-    high_water_gauge_->update_max(static_cast<double>(high_water_));
-  }
-}
-
-void BoundedPacketQueue::note_drop_locked() {
-  // Counter bump and dropped_ increment share the critical section of the
-  // drop itself, so a scraper can never observe the mirror ahead of the
-  // authoritative count (it may lag by at most the in-flight push).
-  ++dropped_;
-  if (dropped_counter_ != nullptr) {
-    dropped_counter_->add(1);
-    ++mirrored_dropped_;
-  }
-}
-
-uint64_t BoundedPacketQueue::dropped() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return dropped_;
-}
-
-size_t BoundedPacketQueue::high_water() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return high_water_;
 }
 
 uint64_t FlowShardRouter::flow_hash(const netio::RawPacket& pkt) const {
@@ -222,80 +71,26 @@ IngestRuntime::Options IngestRuntime::Options::normalized(
   OptionNormalizer norm("ingest");
   norm.clamp(opts.queue_capacity, size_t{1}, size_t{1} << 24,
              "queue_capacity");
-  norm.clamp(opts.consumers, size_t{1}, size_t{256}, "consumers");
-  // shards = 0 selects single-queue mode, so only the upper bound applies.
-  norm.clamp(opts.shards, size_t{0}, size_t{256}, "shards");
+  norm.clamp(opts.shards, size_t{1}, size_t{256}, "shards");
   norm.clamp(opts.consumer_batch, size_t{1}, size_t{65536}, "consumer_batch");
   norm.clamp(opts.score_batch, size_t{1}, size_t{65536}, "score_batch");
-  // SPSC shard rings cannot evict their head, so kDropOldest has no
-  // sharded implementation; rewrite to the policy that exists and say so
-  // (the constructor also bumps `<prefix>policy_degraded`).
-  if (opts.shards > 0 && opts.overflow == OverflowPolicy::kDropOldest) {
-    norm.replace(opts.overflow, OverflowPolicy::kDropNewest, "overflow",
-                 "kDropOldest", "kDropNewest (SPSC shard rings cannot evict)");
-  }
   norm.emit(diagnostic);
   return opts;
 }
 
 namespace {
 
-/// PacketFeed over the shared mutex+condvar queue (single-queue mode).
-class QueueFeed : public PacketFeed {
- public:
-  explicit QueueFeed(BoundedPacketQueue& q) : q_(q) {}
-  size_t claim(std::vector<netio::SourcePacket>& out, size_t max) override {
-    return q_.pop_batch(out, max);
+/// Claim up to `max` packets from one shard's ring into `out` (cleared
+/// first), blocking while the ring is open and empty. Returns the number
+/// claimed; 0 only at end-of-stream (closed and fully drained).
+size_t claim(SpscRing<netio::SourcePacket>& ring,
+             std::vector<netio::SourcePacket>& out, size_t max) {
+  for (;;) {
+    if (!ring.wait_nonempty()) return 0;  // closed and drained
+    const size_t n = ring.try_pop(out, max);
+    if (n != 0) return n;
   }
-
- private:
-  BoundedPacketQueue& q_;
-};
-
-/// PacketFeed over one shard's private SPSC ring (sharded mode).
-class RingFeed : public PacketFeed {
- public:
-  explicit RingFeed(SpscRing<netio::SourcePacket>& r) : r_(r) {}
-  size_t claim(std::vector<netio::SourcePacket>& out, size_t max) override {
-    for (;;) {
-      if (!r_.wait_nonempty()) return 0;  // closed and drained
-      const size_t n = r_.try_pop(out, max == 0 ? 1 : max);
-      if (n != 0) return n;
-    }
-  }
-
- private:
-  SpscRing<netio::SourcePacket>& r_;
-};
-
-/// Producer-side FrameFeed over the shared queue (single-queue mode): the
-/// non-blocking face any SourceDriver pushes through. Counts enqueued on
-/// every accepted/shed packet — exactly where the old producer loop did.
-class QueueFrameFeed : public netio::FrameFeed {
- public:
-  QueueFrameFeed(BoundedPacketQueue& q, telemetry::Counter& enqueued,
-                 telemetry::Counter& dropped)
-      : q_(q), enqueued_(enqueued), dropped_(dropped) {}
-
-  netio::FeedStatus offer(netio::SourcePacket& p) override {
-    const netio::FeedStatus s = q_.offer(std::move(p));
-    if (s == netio::FeedStatus::kAccepted || s == netio::FeedStatus::kShed)
-      enqueued_.add(1);
-    return s;
-  }
-  bool wait_ready() override { return q_.wait_notfull(); }
-  void account_shed(uint64_t n) override {
-    // Frames the front-end shed before they reached the queue: count them
-    // enqueued AND dropped so conservation spans the socket path.
-    enqueued_.add(n);
-    dropped_.add(n);
-  }
-
- private:
-  BoundedPacketQueue& q_;
-  telemetry::Counter& enqueued_;
-  telemetry::Counter& dropped_;
-};
+}
 
 /// Producer-side FrameFeed over the shard router + SPSC rings: routes each
 /// offered frame by flow hash, then try-pushes into the owning ring.
@@ -329,8 +124,8 @@ class ShardFrameFeed : public netio::FrameFeed {
       busy_shard_ = s;
       return netio::FeedStatus::kBusy;
     }
-    // kDropNewest (kDropOldest was rewritten at normalization): shed the
-    // incoming packet, still counted enqueued + routed like the old loop.
+    // kDropNewest: shed the incoming packet, still counted enqueued +
+    // routed.
     dropped_.add(1);
     account(s);
     return netio::FeedStatus::kShed;
@@ -369,16 +164,13 @@ class ShardFrameFeed : public netio::FrameFeed {
 IngestRuntime::IngestRuntime(Options opts, ScorerFactory factory,
                              AlertSink* sink)
     : sink_(sink) {
-  const bool policy_degraded =
-      opts.shards > 0 && opts.overflow == OverflowPolicy::kDropOldest;
   std::string diag;
   opts_ = Options::normalized(std::move(opts), &diag);
   if (!diag.empty()) std::cerr << diag << "\n";
   scorer_slot_ = std::make_unique<ModelSlot<ScorerFactory>>(
-      std::make_unique<ScorerFactory>(std::move(factory)),
-      effective_consumers());
+      std::make_unique<ScorerFactory>(std::move(factory)), opts_.shards);
   // Core accounting always lives in registry counters (the IngestStats
-  // façade reads them back); the extended instruments — queue gauges and
+  // façade reads them back); the extended instruments — ring gauges and
   // per-stage latency histograms, with their clock reads — only run when
   // the embedder gave us a registry to publish into.
   extended_ = opts_.registry != nullptr;
@@ -390,28 +182,23 @@ IngestRuntime::IngestRuntime(Options opts, ScorerFactory factory,
   scored_ = &reg_->counter(p + "scored");
   alerted_ = &reg_->counter(p + "alerted");
   swaps_applied_ = &reg_->counter(p + "swaps_applied");
-  policy_degraded_ = &reg_->counter(p + "policy_degraded");
-  if (policy_degraded) policy_degraded_->add(1);
   if (extended_) {
-    queue_depth_ = &reg_->gauge(p + "queue.depth");
     queue_high_water_ = &reg_->gauge(p + "queue.high_water");
     extract_ns_ = &reg_->histogram(p + "stage.extract_ns");
     score_ns_ = &reg_->histogram(p + "stage.score_ns");
     flush_ns_ = &reg_->histogram(p + "stage.flush_ns");
     score_batch_rows_ = &reg_->histogram(p + "score.batch_rows");
-    if (opts_.shards > 0) {
-      shard_instruments_.resize(opts_.shards);
-      for (size_t i = 0; i < opts_.shards; ++i) {
-        const std::string sp = p + "shard" + std::to_string(i) + ".";
-        shard_instruments_[i] =
-            ShardInstruments{&reg_->counter(sp + "routed"),
-                             &reg_->counter(sp + "scored"),
-                             &reg_->counter(sp + "alerted"),
-                             &reg_->counter(sp + "parse_skipped"),
-                             &reg_->gauge(sp + "ring.high_water"),
-                             &reg_->counter(sp + "ring.consumer_parks"),
-                             &reg_->counter(sp + "ring.producer_parks")};
-      }
+    shard_instruments_.resize(opts_.shards);
+    for (size_t i = 0; i < opts_.shards; ++i) {
+      const std::string sp = p + "shard" + std::to_string(i) + ".";
+      shard_instruments_[i] =
+          ShardInstruments{&reg_->counter(sp + "routed"),
+                           &reg_->counter(sp + "scored"),
+                           &reg_->counter(sp + "alerted"),
+                           &reg_->counter(sp + "parse_skipped"),
+                           &reg_->gauge(sp + "ring.high_water"),
+                           &reg_->counter(sp + "ring.consumer_parks"),
+                           &reg_->counter(sp + "ring.producer_parks")};
     }
   }
   // stats() before the first run() must read zero even when another
@@ -438,8 +225,7 @@ bool IngestRuntime::register_tenant(uint32_t tenant, ScorerFactory factory) {
   auto [it, inserted] = tenants_.try_emplace(tenant);
   if (!inserted) return false;
   it->second.slot = std::make_unique<ModelSlot<ScorerFactory>>(
-      std::make_unique<ScorerFactory>(std::move(factory)),
-      effective_consumers());
+      std::make_unique<ScorerFactory>(std::move(factory)), opts_.shards);
   const std::string tp =
       opts_.instrument_prefix + "tenant" + std::to_string(tenant) + ".";
   it->second.scored = &reg_->counter(tp + "scored");
@@ -460,11 +246,11 @@ bool IngestRuntime::deploy(uint32_t tenant, ScorerFactory factory) {
   return true;
 }
 
-void IngestRuntime::consume(size_t id, PacketFeed& feed,
+void IngestRuntime::consume(size_t id, Ring& ring,
                             std::unique_ptr<PacketScorer> scorer,
                             uint64_t scorer_version, netio::LinkType link) {
   // Everything below is consumer-local until the per-batch flush: packets
-  // are claimed in batches (one queue lock / ring publication per batch),
+  // are claimed in batches (one ring publication per batch),
   // scored without any shared state, and sink records plus stats counters
   // are published once per batch. Buffers are reused across batches, so
   // the steady-state loop performs no allocation. Telemetry is also
@@ -561,7 +347,7 @@ void IngestRuntime::consume(size_t id, PacketFeed& feed,
   tenant_of.reserve(opts_.consumer_batch);
   scores.reserve(opts_.consumer_batch);
   pending.reserve(opts_.consumer_batch);
-  while (feed.claim(batch, opts_.consumer_batch) > 0) {
+  while (claim(ring, batch, opts_.consumer_batch) > 0) {
     batch_tenants.clear();
     for (const netio::SourcePacket& sp : batch) {
       if (std::find(batch_tenants.begin(), batch_tenants.end(), sp.tenant) ==
@@ -714,7 +500,7 @@ void IngestRuntime::consume(size_t id, PacketFeed& feed,
   }
 }
 
-void IngestRuntime::consume_pipeline(size_t id, PacketFeed& feed,
+void IngestRuntime::consume_pipeline(size_t id, Ring& ring,
                                      StreamPipeline& pipe,
                                      netio::LinkType link) {
   // Same staged batch loop as consume(), but the scoring stage feeds the
@@ -732,7 +518,7 @@ void IngestRuntime::consume_pipeline(size_t id, PacketFeed& feed,
   std::vector<netio::PacketView> parsed;
   batch.reserve(opts_.consumer_batch);
   parsed.reserve(opts_.consumer_batch);
-  while (feed.claim(batch, opts_.consumer_batch) > 0) {
+  while (claim(ring, batch, opts_.consumer_batch) > 0) {
     uint64_t skipped = 0;
     Clock::time_point t0, t1, t2;
     if (extended_) t0 = Clock::now();
@@ -771,7 +557,7 @@ void IngestRuntime::consume_pipeline(size_t id, PacketFeed& feed,
 
 Result<IngestStats> IngestRuntime::drive(
     netio::SourceDriver& driver,
-    const std::function<void(size_t, PacketFeed&, netio::LinkType)>&
+    const std::function<void(size_t, Ring&, netio::LinkType)>&
         consumer_body) {
   // Per-run façade semantics over cumulative instruments: re-baseline now.
   base_ = Baseline{enqueued_->value(), dropped_->value(),
@@ -780,105 +566,40 @@ Result<IngestStats> IngestRuntime::drive(
   high_water_snapshot_ = 0;
   stop_.store(false);
   running_.store(true, std::memory_order_release);
-  auto result = opts_.shards > 0 ? drive_sharded(driver, consumer_body)
-                                 : drive_single_queue(driver, consumer_body);
-  running_.store(false, std::memory_order_release);
-  return result;
-}
 
-Result<IngestStats> IngestRuntime::drive_single_queue(
-    netio::SourceDriver& driver,
-    const std::function<void(size_t, PacketFeed&, netio::LinkType)>&
-        consumer_body) {
-  BoundedPacketQueue queue(opts_.queue_capacity, opts_.overflow);
-  if (extended_) {
-    // The queue gauges describe THIS run's queue: reset them before
-    // attaching, or a reused runtime (or a second runtime sharing the
-    // registry and prefix) keeps publishing the previous run's high-water
-    // mark — update_max never comes back down on its own.
-    queue_depth_->set(0.0);
-    queue_high_water_->set(0.0);
-    // Live queue instruments: depth, high-water, and drops update under
-    // the queue's own lock, so scrapers see them mid-run (the historic
-    // snapshots only materialized after run() returned).
-    queue.attach_telemetry(queue_depth_, queue_high_water_, dropped_);
-  }
-  const netio::LinkType link = driver.link();
-  QueueFeed feed(queue);
-
-  // Consumers follow the parallel.h exception convention: the first failure
-  // is captured and rethrown on the caller once every thread has joined.
-  std::vector<std::exception_ptr> errors(opts_.consumers);
-  std::vector<std::thread> threads;
-  threads.reserve(opts_.consumers);
-  for (size_t c = 0; c < opts_.consumers; ++c) {
-    threads.emplace_back([c, &queue, &feed, &errors, link, &consumer_body] {
-      try {
-        consumer_body(c, feed, link);
-      } catch (...) {
-        errors[c] = std::current_exception();
-        queue.close();  // don't leave the producer blocked on a dead run
-      }
-    });
-  }
-
-  // The driver runs on the calling thread, pushing through the feed; a
-  // closed queue (consumer death) surfaces as kClosed and the driver
-  // returns, exactly where the old push loop broke.
-  QueueFrameFeed ffeed(queue, *enqueued_, *dropped_);
-  Result<void> driven = driver.drive(ffeed, stop_);
-  queue.close();
-  for (auto& t : threads) t.join();
-
-  // With attached telemetry the queue streamed drops into the counter
-  // live; otherwise fold them in now.
-  if (!extended_) dropped_->add(queue.dropped());
-  high_water_snapshot_ = queue.high_water();
-  for (auto& err : errors) {
-    if (err) std::rethrow_exception(err);
-  }
-  if (!driven.ok()) return driven.error();
-  return stats();
-}
-
-Result<IngestStats> IngestRuntime::drive_sharded(
-    netio::SourceDriver& driver,
-    const std::function<void(size_t, PacketFeed&, netio::LinkType)>&
-        consumer_body) {
   const size_t n_shards = opts_.shards;
   const netio::LinkType link = driver.link();
   FlowShardRouter router(n_shards, link);
-
-  std::vector<std::unique_ptr<SpscRing<netio::SourcePacket>>> rings;
-  std::vector<RingFeed> feeds;
+  std::vector<std::unique_ptr<Ring>> rings;
   rings.reserve(n_shards);
-  feeds.reserve(n_shards);
   for (size_t i = 0; i < n_shards; ++i) {
-    rings.push_back(
-        std::make_unique<SpscRing<netio::SourcePacket>>(opts_.queue_capacity));
-    feeds.emplace_back(*rings.back());
+    rings.push_back(std::make_unique<Ring>(opts_.queue_capacity));
   }
   if (extended_) {
-    // Same reset-before-run contract as the single-queue gauges; in this
-    // mode queue.high_water reports the max ring high-water across shards.
-    queue_depth_->set(0.0);
+    // The ring gauges describe THIS run's rings: reset them, or a reused
+    // runtime (or a second runtime sharing the registry and prefix) keeps
+    // publishing the previous run's high-water mark — update_max never
+    // comes back down on its own. queue.high_water reports the max ring
+    // high-water across shards.
     queue_high_water_->set(0.0);
     for (ShardInstruments& si : shard_instruments_) {
       si.ring_high_water->set(0.0);
     }
   }
 
+  // Consumers follow the parallel.h exception convention: the first failure
+  // is captured and rethrown on the caller once every thread has joined.
   std::vector<std::exception_ptr> errors(n_shards);
   std::vector<std::thread> threads;
   threads.reserve(n_shards);
   for (size_t c = 0; c < n_shards; ++c) {
-    threads.emplace_back([c, &feeds, &rings, &errors, link, &consumer_body] {
+    threads.emplace_back([c, &rings, &errors, link, &consumer_body] {
       try {
-        consumer_body(c, feeds[c], link);
+        consumer_body(c, *rings[c], link);
       } catch (...) {
         errors[c] = std::current_exception();
         // Close every ring: siblings drain and exit, and the producer
-        // stops instead of feeding a dead run (mirrors queue.close()).
+        // sees kClosed instead of feeding a dead run.
         for (auto& r : rings) r->close();
       }
     });
@@ -916,6 +637,7 @@ Result<IngestStats> IngestRuntime::drive_sharded(
   Result<void> driven = driver.drive(ffeed, stop_);
   for (auto& r : rings) r->close();
   for (auto& t : threads) t.join();
+  running_.store(false, std::memory_order_release);
 
   size_t hw = 0;
   for (const auto& r : rings) hw = std::max(hw, r->high_water());
@@ -935,11 +657,11 @@ Result<IngestStats> IngestRuntime::run(netio::PacketSource& source) {
 }
 
 Result<IngestStats> IngestRuntime::run(netio::SourceDriver& driver) {
-  const size_t n_consumers = effective_consumers();
+  const size_t n_shards = opts_.shards;
   if (pipeline_factory_) {
     std::vector<std::unique_ptr<StreamPipeline>> pipes;
-    pipes.reserve(n_consumers);
-    for (size_t c = 0; c < n_consumers; ++c) {
+    pipes.reserve(n_shards);
+    for (size_t c = 0; c < n_shards; ++c) {
       pipes.push_back(pipeline_factory_(c));
       if (!pipes.back()) {
         return Error::make(
@@ -962,9 +684,8 @@ Result<IngestStats> IngestRuntime::run(netio::SourceDriver& driver) {
       });
     }
     return drive(driver,
-                 [this, &pipes](size_t id, PacketFeed& feed,
-                                netio::LinkType link) {
-                   consume_pipeline(id, feed, *pipes[id], link);
+                 [this, &pipes](size_t id, Ring& ring, netio::LinkType link) {
+                   consume_pipeline(id, ring, *pipes[id], link);
                  });
   }
 
@@ -973,9 +694,9 @@ Result<IngestStats> IngestRuntime::run(netio::SourceDriver& driver) {
   // deploy() publishes something newer.
   std::vector<std::unique_ptr<PacketScorer>> scorers;
   std::vector<uint64_t> versions;
-  scorers.reserve(n_consumers);
-  versions.reserve(n_consumers);
-  for (size_t c = 0; c < n_consumers; ++c) {
+  scorers.reserve(n_shards);
+  versions.reserve(n_shards);
+  for (size_t c = 0; c < n_shards; ++c) {
     const auto pinned = scorer_slot_->pin(c);
     scorers.push_back((*pinned.value)(c));
     versions.push_back(pinned.version);
@@ -985,9 +706,9 @@ Result<IngestStats> IngestRuntime::run(netio::SourceDriver& driver) {
     }
   }
   return drive(driver,
-               [this, &scorers, &versions](size_t id, PacketFeed& feed,
+               [this, &scorers, &versions](size_t id, Ring& ring,
                                            netio::LinkType link) {
-                 consume(id, feed, std::move(scorers[id]), versions[id], link);
+                 consume(id, ring, std::move(scorers[id]), versions[id], link);
                });
 }
 

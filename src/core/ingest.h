@@ -6,32 +6,28 @@
 // run(PacketSource&) survives as a thin wrapper over a ReplayDriver, so
 // the historic pull-based call sites are byte-identical.
 //
-// Single-queue mode (the default):
-//
-//   SourceDriver -> BoundedPacketQueue -> N consumer threads -> AlertSink
-//
-// One producer (the calling thread) pulls packets from a netio::PacketSource
-// into a bounded ring queue with an explicit overflow policy; each consumer
-// thread parses, scores with its own PacketScorer (OnlineKitsune or any
-// callable — e.g. a scorer assembled from core::Op pipelines), and emits
-// alerts through a pluggable sink. Shutdown is graceful: the producer closes
-// the queue at end of stream, consumers drain what is left and join. The
-// runtime exports ingest statistics (enqueued, dropped, parse-skipped,
-// scored, alerted, queue high-water mark).
-//
-// Flow-sharded mode (Options::shards > 0):
-//
 //   SourceDriver -> FlowShardRouter -> SpscRing[shard] -> shard consumer
+//                                                           -> AlertSink
 //
-// The producer hashes each frame's canonical flow identity (the same
-// IP-pair channel key the Kitsune feature extractor groups by, falling
-// back to the source MAC for non-IPv4 frames) and routes it to one of N
-// single-producer/single-consumer rings. Each shard consumer owns a
-// private scorer or operator chain, so its FlatMap arenas are touched by
-// exactly one thread and the hot path crosses no mutex at all. A live
-// ModelSlot lets deploy() hot-swap a retrained scorer into running shards
-// without draining traffic. See docs/framework.md "Sharded ingestion &
-// hot-swap" for the memory-order and equivalence arguments.
+// The producer (the calling thread) hashes each frame's canonical flow
+// identity (the same IP-pair channel key the Kitsune feature extractor
+// groups by, falling back to the source MAC for non-IPv4 frames) and
+// routes it to one of Options::shards single-producer/single-consumer
+// rings under an explicit overflow policy. Each shard consumer parses,
+// scores with its own private PacketScorer (OnlineKitsune or any callable
+// — e.g. a scorer assembled from core::Op pipelines) or operator chain,
+// and emits alerts through a pluggable sink. A shard's FlatMap arenas are
+// touched by exactly one thread and the hot path crosses no mutex at all.
+// Because the partition is a pure function of the frame bytes, every
+// shard's scores equal a sequential run over its own sub-stream; at
+// shards = 1 (the default) that is the one-detector sequential run.
+// Shutdown is graceful: the producer closes the rings at end of stream,
+// consumers drain what is left and join. The runtime exports ingest
+// statistics (enqueued, dropped, parse-skipped, scored, alerted, ring
+// high-water mark). A live ModelSlot lets deploy() hot-swap a retrained
+// scorer into running shards without draining traffic. See
+// docs/framework.md "Ingestion runtime" for the memory-order and
+// equivalence arguments.
 //
 // Threading follows common/parallel.h conventions: consumers are dedicated
 // threads (they are long-running, so they must not occupy the shared
@@ -41,9 +37,7 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -58,109 +52,24 @@
 #include "netio/frontend.h"
 #include "netio/source.h"
 
-namespace lumen::core {
+namespace lumen {
 
-/// What to do when a producer pushes into a full queue.
+template <typename T>
+class SpscRing;
+
+namespace core {
+
+/// What to do when a producer pushes into a full shard ring.
 enum class OverflowPolicy : uint8_t {
-  kBlock,       // wait for a consumer to free a slot (lossless, backpressure)
-  kDropOldest,  // evict the oldest queued packet (bounded latency, lossy)
-  /// Shed the INCOMING packet (bounded latency, lossy). This is the only
-  /// lossy policy an SPSC shard ring can implement — its producer cannot
-  /// evict the head the consumer owns — so Options::normalized rewrites
-  /// kDropOldest to kDropNewest in sharded mode with a named diagnostic
-  /// and a `<prefix>policy_degraded` counter bump, instead of the historic
-  /// silent degradation. Shed packets still count enqueued AND dropped,
-  /// preserving scored + parse_skipped == enqueued - dropped.
+  kBlock,  // wait for the shard consumer to free a slot (lossless)
+  /// Shed the INCOMING packet (bounded latency, lossy). An SPSC ring's
+  /// producer cannot evict the head the consumer owns, so the incoming
+  /// packet is the one that goes. Shed packets still count enqueued AND
+  /// dropped, preserving scored + parse_skipped == enqueued - dropped.
   kDropNewest,
 };
 
 const char* overflow_policy_name(OverflowPolicy p);
-
-/// Bounded MPSC-style ring queue of packets. push() honors the overflow
-/// policy; pop() blocks until a packet arrives or the queue is closed and
-/// empty. Thread-safe for any number of producers and consumers.
-class BoundedPacketQueue {
- public:
-  BoundedPacketQueue(size_t capacity, OverflowPolicy policy);
-
-  /// Enqueue one packet. Returns false only when the queue was closed
-  /// before a slot became available. Implemented as offer()+wait_notfull()
-  /// loops, so push semantics are exactly the non-blocking primitives'.
-  bool push(netio::SourcePacket p);
-
-  /// Non-blocking enqueue honoring the overflow policy: kAccepted (taken),
-  /// kShed (queue full under a drop policy — for kDropOldest the oldest
-  /// packet was evicted and `p` taken, for kDropNewest `p` itself was
-  /// discarded; a drop is counted either way), kBusy (full under kBlock;
-  /// `p` untouched — retry after wait_notfull()), kClosed.
-  netio::FeedStatus offer(netio::SourcePacket&& p);
-
-  /// Block until the queue has room or is closed; true when room exists.
-  bool wait_notfull();
-
-  /// Dequeue one packet, blocking while the queue is open and empty.
-  /// Returns false when the queue is closed and fully drained.
-  bool pop(netio::SourcePacket& out);
-
-  /// Dequeue up to `max` packets under one lock acquisition, appending to
-  /// `out` (cleared first). Blocks while the queue is open and empty;
-  /// returns the number popped, 0 only when closed and fully drained.
-  /// Batching is what lets consumer throughput scale: one mutex round-trip
-  /// amortizes over the whole batch instead of being paid per packet.
-  size_t pop_batch(std::vector<netio::SourcePacket>& out, size_t max);
-
-  /// Close the queue: pending packets remain poppable, further push()es
-  /// fail, and blocked producers/consumers wake up.
-  void close();
-
-  /// Mirror queue state into telemetry instruments: `depth` tracks the live
-  /// queue length, `high_water` its running maximum, and `dropped` counts
-  /// drop-oldest evictions — all updated under the queue lock the operation
-  /// already holds, so scrapers see them while a run is in flight (the old
-  /// IngestStats snapshots only updated after the run finished). Any
-  /// pointer may be null. Drops that happened before attachment are folded
-  /// into the counter on attach, so mirror and dropped() agree from that
-  /// point on no matter when telemetry arrived relative to traffic — the
-  /// same locked bookkeeping (note_drop_locked) serves both, making the
-  /// mirror update atomic with the drop decision.
-  void attach_telemetry(telemetry::Gauge* depth, telemetry::Gauge* high_water,
-                        telemetry::Counter* dropped);
-
-  size_t capacity() const { return capacity_; }
-  uint64_t dropped() const;
-  size_t high_water() const;
-
- private:
-  void note_size_locked();  // update depth/high-water mirrors under mu_
-  void note_drop_locked();  // count a drop + mirror it, atomically under mu_
-
-  const size_t capacity_;
-  const OverflowPolicy policy_;
-  mutable std::mutex mu_;
-  std::condition_variable not_full_;
-  std::condition_variable not_empty_;
-  std::deque<netio::SourcePacket> q_;
-  uint64_t dropped_ = 0;
-  uint64_t mirrored_dropped_ = 0;  // drops already forwarded to the counter
-  size_t high_water_ = 0;
-  bool closed_ = false;
-  telemetry::Gauge* depth_gauge_ = nullptr;
-  telemetry::Gauge* high_water_gauge_ = nullptr;
-  telemetry::Counter* dropped_counter_ = nullptr;
-};
-
-/// Uniform consumer-side view over the two packet conduits — the shared
-/// BoundedPacketQueue and a shard's private SpscRing — so the consume
-/// loops are written once against claim() semantics.
-class PacketFeed {
- public:
-  virtual ~PacketFeed() = default;
-
-  /// Claim up to `max` packets into `out` (cleared first), blocking while
-  /// the conduit is open and empty. Returns the number claimed; 0 only at
-  /// end-of-stream (closed and fully drained).
-  virtual size_t claim(std::vector<netio::SourcePacket>& out, size_t max) = 0;
-};
 
 /// Routes raw frames to shards by their canonical flow identity, computed
 /// from a light header peek (no full parse): for IPv4-over-Ethernet the
@@ -195,14 +104,14 @@ class FlowShardRouter {
 };
 
 /// Counters exported by a runtime run. `enqueued` counts packets accepted
-/// from the source; `dropped` those evicted by kDropOldest; `parse_skipped`
+/// from the source; `dropped` those shed by kDropNewest; `parse_skipped`
 /// malformed frames consumers could not parse; `scored` packets that went
 /// through a scorer; `alerted` scores above threshold.
 ///
 /// DEPRECATION NOTE: this struct is now a compatibility façade over the
 /// unified telemetry API (common/telemetry.h). IngestRuntime keeps its
 /// counts in registry Counters (`<prefix>enqueued`, `<prefix>dropped`,
-/// `<prefix>parse_skipped`, `<prefix>scored`, `<prefix>alerted`) plus queue
+/// `<prefix>parse_skipped`, `<prefix>scored`, `<prefix>alerted`) plus ring
 /// gauges and per-stage latency histograms; stats() reads those instruments
 /// back (per-run deltas against a baseline captured at run start). New
 /// consumers should scrape Options::registry instead.
@@ -221,7 +130,7 @@ struct Alert {
   uint32_t capture_index = 0;  // index in the original capture
   double score = 0.0;
   double threshold = 0.0;
-  size_t consumer = 0;  // which consumer thread scored it
+  size_t consumer = 0;  // which shard consumer scored it
   uint32_t tenant = 0;  // tenant the packet belonged to (0 = default)
 };
 
@@ -343,34 +252,24 @@ using StreamPipelineFactory =
 /// The ingestion runtime. One run() drives a source to exhaustion:
 ///
 ///   IngestRuntime::Options opt;
-///   opt.consumers = 2;
+///   opt.shards = 2;
 ///   IngestRuntime rt(opt, factory, &sink);
 ///   auto stats = rt.run(source);
 class IngestRuntime {
  public:
   struct Options {
-    /// Slots in the shared queue (single-queue mode) or in EACH shard ring
-    /// (sharded mode; rounded up to a power of two by SpscRing).
+    /// Slots in EACH shard ring (rounded up to a power of two by SpscRing).
     size_t queue_capacity = 4096;
-    /// In sharded mode an SPSC ring's producer cannot evict (the consumer
-    /// owns the head), so kDropOldest is unimplementable there:
-    /// normalized() rewrites it to kDropNewest with a named diagnostic and
-    /// a `<prefix>policy_degraded` counter bump — no silent degradation.
     /// The accounting invariant (scored + parse_skipped == enqueued -
-    /// dropped) holds under every policy; kBlock and kDropNewest behave
-    /// identically in both modes.
+    /// dropped) holds under both policies.
     OverflowPolicy overflow = OverflowPolicy::kBlock;
-    /// Consumer threads in single-queue mode. Ignored when shards > 0
-    /// (sharded mode runs exactly one consumer per shard).
-    size_t consumers = 1;
-    /// 0 = single-queue mode (the default, behavior unchanged). N > 0 =
-    /// flow-sharded mode: the producer routes every frame through a
-    /// FlowShardRouter into N private SPSC rings, each drained by its own
-    /// consumer thread with its own scorer/chain. Because the partition is
-    /// by flow hash, a device's conversations stay on one shard and each
-    /// shard's detector state is single-threaded by construction.
-    size_t shards = 0;
-    /// Packets a consumer claims per queue lock, and the flush threshold
+    /// Flow shards, each one SPSC ring drained by its own consumer thread
+    /// with its own scorer/chain: the producer routes every frame through
+    /// a FlowShardRouter. Because the partition is by flow hash, a
+    /// device's conversations stay on one shard and each shard's detector
+    /// state is single-threaded by construction.
+    size_t shards = 1;
+    /// Packets a consumer claims per ring pop, and the flush threshold
     /// for its locally-buffered sink records. 1 reproduces the historic
     /// packet-at-a-time behaviour (same alerts either way; only lock
     /// amortization and sink-delivery latency change).
@@ -384,7 +283,7 @@ class IngestRuntime {
     /// Where this runtime's instruments live. Default: the process-wide
     /// registry, so a live gateway can be scraped mid-run. nullptr keeps
     /// the core accounting counters in a runtime-local registry (stats()
-    /// still works) and skips the optional extras — queue gauges, stage
+    /// still works) and skips the optional extras — ring gauges, stage
     /// latency histograms, and their clock reads — which is the cheapest
     /// mode and the baseline bench_telemetry measures overhead against.
     /// Same shape as Engine::Options.
@@ -397,13 +296,13 @@ class IngestRuntime {
     /// adjustment in `*diagnostic` as one human-readable line (set to ""
     /// when nothing was clamped). The runtime normalizes exactly once at
     /// construction and emits the diagnostic to stderr — there are no
-    /// scattered silent per-field clamps. Ranges: consumers/shards <= 256
+    /// scattered silent per-field clamps. Ranges: shards in [1, 256]
     /// (threads, not pool workers), consumer_batch/score_batch in
     /// [1, 65536], queue_capacity in [1, 1 << 24].
     ///
     /// LUMEN_THREADS interaction: that variable sizes the shared
     /// common/parallel.h ThreadPool used INSIDE scorers (e.g. parallel
-    /// dense kernels); it does not limit consumers/shards, which are
+    /// dense kernels); it does not limit shards, whose consumers are
     /// dedicated long-running threads outside the pool. Oversubscription
     /// guidance: shards + LUMEN_THREADS should stay near the core count.
     static Options normalized(Options opts, std::string* diagnostic);
@@ -420,7 +319,7 @@ class IngestRuntime {
   /// packets fed to the chains and `alerted` counts alerted rows.
   IngestRuntime(Options opts, StreamPipelineFactory factory, EpochSink* sink);
 
-  /// Drain `source` through the queue and the consumer threads. Blocks
+  /// Drain `source` through the shard rings and consumers. Blocks
   /// until the stream ends (or request_stop()) and every consumer has
   /// joined. Returns the run's statistics; an Error if a scorer could not
   /// be built. The first exception thrown by a consumer is rethrown here.
@@ -431,13 +330,12 @@ class IngestRuntime {
   /// Drive any netio::SourceDriver — the socket gateway front-end, a
   /// replay adapter, or custom push-based producers — into this runtime.
   /// The driver runs on the calling thread and pushes into a FrameFeed
-  /// wrapping the queue (single-queue mode) or the shard router + rings
-  /// (sharded mode) under the non-blocking backpressure contract
-  /// documented in netio/frontend.h.
+  /// wrapping the shard router + rings under the non-blocking
+  /// backpressure contract documented in netio/frontend.h.
   Result<IngestStats> run(netio::SourceDriver& driver);
 
   /// Ask a running run() to wind down early (callable from any thread).
-  /// The queue is closed; consumers drain what is already buffered.
+  /// The rings are closed; consumers drain what is already buffered.
   void request_stop() { stop_.store(true, std::memory_order_relaxed); }
 
   /// Hot-swap the scorer factory (callable from any thread, including
@@ -472,12 +370,6 @@ class IngestRuntime {
   /// tenant was never registered.
   bool deploy(uint32_t tenant, ScorerFactory factory);
 
-  /// Consumer threads a run spawns: shards (one per shard) in sharded
-  /// mode, else Options::consumers.
-  size_t effective_consumers() const {
-    return opts_.shards > 0 ? opts_.shards : opts_.consumers;
-  }
-
   /// Statistics of the current (or last finished) run, read back from the
   /// registry instruments as deltas against the run-start baseline (see the
   /// IngestStats deprecation note).
@@ -489,7 +381,7 @@ class IngestRuntime {
 
  private:
   /// Per-shard instruments (`ingest.shard<i>.*`), resolved when extended
-  /// telemetry is on and shards > 0.
+  /// telemetry is on.
   struct ShardInstruments {
     telemetry::Counter* routed = nullptr;
     telemetry::Counter* scored = nullptr;
@@ -510,27 +402,19 @@ class IngestRuntime {
     telemetry::Counter* swaps_applied = nullptr;
   };
 
-  void consume(size_t id, PacketFeed& feed,
-               std::unique_ptr<PacketScorer> scorer, uint64_t scorer_version,
-               netio::LinkType link);
-  void consume_pipeline(size_t id, PacketFeed& feed, StreamPipeline& pipe,
+  using Ring = SpscRing<netio::SourcePacket>;
+
+  void consume(size_t id, Ring& ring, std::unique_ptr<PacketScorer> scorer,
+               uint64_t scorer_version, netio::LinkType link);
+  void consume_pipeline(size_t id, Ring& ring, StreamPipeline& pipe,
                         netio::LinkType link);
-  /// Shared run skeleton: conduits + driver on the calling thread +
-  /// consumer threads running `consumer_body(id, feed, link)` + graceful
-  /// drain/join/rethrow. Picks single-queue or sharded plumbing off
-  /// opts_.shards; the two public modes only differ in what the body does
-  /// per batch.
+  /// Shared run skeleton: shard rings + driver on the calling thread +
+  /// one consumer thread per shard running `consumer_body(id, ring, link)`
+  /// + graceful drain/join/rethrow. The two public modes only differ in
+  /// what the body does per batch.
   Result<IngestStats> drive(
       netio::SourceDriver& driver,
-      const std::function<void(size_t, PacketFeed&, netio::LinkType)>&
-          consumer_body);
-  Result<IngestStats> drive_single_queue(
-      netio::SourceDriver& driver,
-      const std::function<void(size_t, PacketFeed&, netio::LinkType)>&
-          consumer_body);
-  Result<IngestStats> drive_sharded(
-      netio::SourceDriver& driver,
-      const std::function<void(size_t, PacketFeed&, netio::LinkType)>&
+      const std::function<void(size_t, Ring&, netio::LinkType)>&
           consumer_body);
 
   Options opts_;
@@ -538,8 +422,8 @@ class IngestRuntime {
   StreamPipelineFactory pipeline_factory_;  // pipeline mode (else empty)
   EpochSink* epoch_sink_ = nullptr;
   /// The scorer factory lives behind a hot-swap slot so deploy() can
-  /// replace it while consumers run (see deploy()). Sized to
-  /// effective_consumers(); consumers pin it once per batch.
+  /// replace it while consumers run (see deploy()). Sized to one reader
+  /// per shard; consumers pin it once per batch.
   std::unique_ptr<ModelSlot<ScorerFactory>> scorer_slot_;
   /// Registered tenants (see register_tenant). Mutated only while no run
   /// is in flight; consumers and deploy(tenant, …) read it concurrently.
@@ -551,19 +435,16 @@ class IngestRuntime {
   // Instruments (resolved once in the constructor; see Options::registry).
   telemetry::Registry local_reg_;  // fallback when opts_.registry == nullptr
   telemetry::Registry* reg_ = nullptr;
-  bool extended_ = false;  // queue gauges + stage histograms active
+  bool extended_ = false;  // ring gauges + stage histograms active
   telemetry::Counter* enqueued_ = nullptr;
   telemetry::Counter* dropped_ = nullptr;
   telemetry::Counter* parse_skipped_ = nullptr;
   telemetry::Counter* scored_ = nullptr;
   telemetry::Counter* alerted_ = nullptr;
   telemetry::Counter* swaps_applied_ = nullptr;
-  /// Bumped once per construction whose normalized() rewrote kDropOldest
-  /// to kDropNewest for sharded mode (see OverflowPolicy::kDropNewest).
-  telemetry::Counter* policy_degraded_ = nullptr;
-  telemetry::Gauge* queue_depth_ = nullptr;
+  /// Max ring high-water mark across shards, reset at each run's start.
   telemetry::Gauge* queue_high_water_ = nullptr;
-  std::vector<ShardInstruments> shard_instruments_;  // extended_ && sharded
+  std::vector<ShardInstruments> shard_instruments_;  // extended_ only
   telemetry::Histogram* extract_ns_ = nullptr;
   telemetry::Histogram* score_ns_ = nullptr;
   telemetry::Histogram* flush_ns_ = nullptr;
@@ -579,4 +460,5 @@ class IngestRuntime {
   size_t high_water_snapshot_ = 0;
 };
 
-}  // namespace lumen::core
+}  // namespace core
+}  // namespace lumen

@@ -465,16 +465,15 @@ void GatewayFrontend::finalize_conn(uint64_t conn, ConnState& st,
   reports_.push_back(st.report);
 }
 
-bool GatewayFrontend::flush_staged() {
-  if (feed_ == nullptr) return false;
-  if (staged_total_ == 0) return true;
+void GatewayFrontend::flush_staged() {
+  if (feed_ == nullptr || staged_total_ == 0) return;
   // Orphaned frames (their connection already closed) go first.
   while (!orphaned_.empty()) {
     const FeedStatus s = feed_->offer(orphaned_.front());
-    if (s == FeedStatus::kBusy) return true;
+    if (s == FeedStatus::kBusy) return;
     if (s == FeedStatus::kClosed) {
       feed_closed_ = true;
-      return false;
+      return;
     }
     orphaned_.pop_front();
     --staged_total_;
@@ -490,10 +489,10 @@ bool GatewayFrontend::flush_staged() {
     ConnState& st = it->second;
     while (!st.staged.empty()) {
       const FeedStatus s = feed_->offer(st.staged.front());
-      if (s == FeedStatus::kBusy) return true;
+      if (s == FeedStatus::kBusy) return;
       if (s == FeedStatus::kClosed) {
         feed_closed_ = true;
-        return false;
+        return;
       }
       st.staged.pop_front();
       --staged_total_;
@@ -505,17 +504,16 @@ bool GatewayFrontend::flush_staged() {
   if (udp_pending) {
     while (!udp_state_.staged.empty()) {
       const FeedStatus s = feed_->offer(udp_state_.staged.front());
-      if (s == FeedStatus::kBusy) return true;
+      if (s == FeedStatus::kBusy) return;
       if (s == FeedStatus::kClosed) {
         feed_closed_ = true;
-        return false;
+        return;
       }
       udp_state_.staged.pop_front();
       --staged_total_;
     }
   }
   staged_depth_->set(static_cast<double>(staged_total_));
-  return true;
 }
 
 bool GatewayFrontend::stream_goal_met() const {

@@ -62,7 +62,7 @@ enum class FeedStatus : uint8_t {
 };
 
 /// Downstream half of the front-end API. IngestRuntime implements this
-/// over its single queue or its per-shard rings; drivers never know which.
+/// over its per-shard rings; drivers never know how many there are.
 class FrameFeed {
  public:
   virtual ~FrameFeed() = default;
@@ -239,8 +239,9 @@ class GatewayFrontend : public SourceDriver, private EventLoop::Protocol {
   /// Push one decoded frame toward the feed (direct, staged, or shed).
   void route_frame(uint64_t conn, ConnState& st, SourcePacket&& sp);
   /// Drain staged frames into the feed; resumes paused connections whose
-  /// staging emptied. Returns false once the feed reports closed.
-  bool flush_staged();
+  /// staging emptied. Stops at the first busy conduit, or sets
+  /// feed_closed_ once the feed reports closed.
+  void flush_staged();
   bool stream_goal_met() const;
   void finalize_conn(uint64_t conn, ConnState& st, CloseReason reason);
 

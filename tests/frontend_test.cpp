@@ -1,5 +1,5 @@
 // Gateway front-end tests: loopback TCP/UDP ingestion must score
-// bit-identically to local trace replay (single-queue and sharded, with
+// bit-identically to local trace replay (one shard and two, with
 // frames back to back or paced across the event loop's spin budget, and
 // with two connections' records split across reads at odd offsets), the
 // malformed-frame corpus must be rejected with exact protocol-error
@@ -275,8 +275,8 @@ TEST(FrontendIdentity, TcpMatchesReplayOnBenchmarkCaptures) {
   for (const char* id : {"P1", "P2", "P3", "P4"}) {
     SCOPED_TRACE(id);
     const trace::Dataset ds = trace::make_dataset(id, 0.2);
-    const Recorder ref = replay_run(ds.trace, 0, stateful_factory(50.0));
-    const Recorder got = socket_run(ds.trace, 0, stateful_factory(50.0),
+    const Recorder ref = replay_run(ds.trace, 1, stateful_factory(50.0));
+    const Recorder got = socket_run(ds.trace, 1, stateful_factory(50.0),
                                     nullptr);
     ASSERT_EQ(ref.recs.size(), got.recs.size());
     EXPECT_EQ(ref.recs, got.recs);  // scores, order, and alert flags
@@ -308,10 +308,10 @@ TEST(FrontendIdentity, TcpMatchesReplaySharded) {
 TEST(FrontendIdentity, TcpMatchesReplayAcrossSpinBudgetGaps) {
   const Trace trace = make_trace(240);
   const std::vector<int> gap_us = {0, 0, 0, 10, 10, 10, 200, 21000};
-  const Recorder ref = replay_run(trace, 0, stateful_factory(50.0));
+  const Recorder ref = replay_run(trace, 1, stateful_factory(50.0));
   telemetry::Registry reg;
   const Recorder got =
-      socket_run(trace, 0, stateful_factory(50.0), &reg, gap_us);
+      socket_run(trace, 1, stateful_factory(50.0), &reg, gap_us);
   ASSERT_EQ(trace.raw.size(), got.recs.size());
   EXPECT_EQ(ref.recs, got.recs);
   EXPECT_EQ(alert_indices(ref.alerts), alert_indices(got.alerts));
@@ -338,7 +338,7 @@ TEST(FrontendIdentity, InterleavedPartialReadsOnTwoConnections) {
         },
         50.0);
   };
-  Recorder ref = replay_run(trace, 0, content_factory);
+  Recorder ref = replay_run(trace, 1, content_factory);
 
   FrontendOptions fo;
   fo.link = trace.link;
@@ -405,7 +405,7 @@ TEST(FrontendIdentity, InterleavedPartialReadsOnTwoConnections) {
 
 TEST(FrontendIdentity, UdpMatchesReplay) {
   const trace::Dataset ds = trace::make_dataset("P1", 0.2);
-  Recorder ref = replay_run(ds.trace, 0, stateless_factory(50.0));
+  Recorder ref = replay_run(ds.trace, 1, stateless_factory(50.0));
 
   FrontendOptions fo;
   fo.link = ds.trace.link;
@@ -714,7 +714,7 @@ TEST(FrontendBackpressure, TcpPauseIsLossless) {
   ASSERT_TRUE(st.ok());
 
   ASSERT_EQ(trace.raw.size(), sink.recs.size());
-  Recorder ref = replay_run(trace, 0, stateful_factory(50.0));
+  Recorder ref = replay_run(trace, 1, stateful_factory(50.0));
   EXPECT_EQ(ref.recs, sink.recs);
   EXPECT_EQ(0u, reg.snapshot().counter_value("frontend.shed"));
 }
@@ -778,76 +778,30 @@ TEST(FrontendBackpressure, ShedModeAccountsEveryFrame) {
 TEST(FrontendHygiene, NoLeakedFileDescriptors) {
   const Trace trace = make_trace(50);
   // Warm-up run absorbs lazily-created process-wide fds.
-  socket_run(trace, 0, stateless_factory(1e9), nullptr);
+  socket_run(trace, 1, stateless_factory(1e9), nullptr);
   const size_t before = count_open_fds();
   for (int i = 0; i < 3; ++i) {
-    socket_run(trace, 0, stateless_factory(1e9), nullptr);
+    socket_run(trace, 1, stateless_factory(1e9), nullptr);
   }
   EXPECT_EQ(before, count_open_fds());
 }
 
 // ---------------------------------------------------------------------------
-// Overflow policy: explicit kDropNewest, no silent degradation
+// Overflow policy
 
-TEST(OverflowPolicyTest, DropNewestKeepsOldest) {
-  core::BoundedPacketQueue q(2, OverflowPolicy::kDropNewest);
-  SourcePacket a, b, c;
-  a.capture_index = 1;
-  b.capture_index = 2;
-  c.capture_index = 3;
-  EXPECT_EQ(netio::FeedStatus::kAccepted, q.offer(std::move(a)));
-  EXPECT_EQ(netio::FeedStatus::kAccepted, q.offer(std::move(b)));
-  EXPECT_EQ(netio::FeedStatus::kShed, q.offer(std::move(c)));
-  std::vector<SourcePacket> out;
-  q.close();
-  EXPECT_EQ(2u, q.pop_batch(out, 8));
-  EXPECT_EQ(1u, out[0].capture_index);
-  EXPECT_EQ(2u, out[1].capture_index);
-  EXPECT_EQ(1u, q.dropped());
-}
+TEST(OverflowPolicyTest, SurvivingPoliciesPassNormalizationUntouched) {
+  // kBlock and kDropNewest are the whole policy set and both exist on an
+  // SPSC ring, so normalization never rewrites one: no diagnostic line.
+  for (const OverflowPolicy p :
+       {OverflowPolicy::kBlock, OverflowPolicy::kDropNewest}) {
+    IngestRuntime::Options o;
+    o.shards = 2;
+    o.overflow = p;
+    std::string diag = "sentinel";
+    EXPECT_EQ(p, IngestRuntime::Options::normalized(o, &diag).overflow);
+    EXPECT_EQ("", diag);
+  }
 
-TEST(OverflowPolicyTest, DropOldestEvictsHead) {
-  core::BoundedPacketQueue q(2, OverflowPolicy::kDropOldest);
-  SourcePacket a, b, c;
-  a.capture_index = 1;
-  b.capture_index = 2;
-  c.capture_index = 3;
-  EXPECT_EQ(netio::FeedStatus::kAccepted, q.offer(std::move(a)));
-  EXPECT_EQ(netio::FeedStatus::kAccepted, q.offer(std::move(b)));
-  EXPECT_EQ(netio::FeedStatus::kShed, q.offer(std::move(c)));
-  std::vector<SourcePacket> out;
-  q.close();
-  EXPECT_EQ(2u, q.pop_batch(out, 8));
-  EXPECT_EQ(2u, out[0].capture_index);
-  EXPECT_EQ(3u, out[1].capture_index);
-  EXPECT_EQ(1u, q.dropped());
-}
-
-TEST(OverflowPolicyTest, ShardedDropOldestNormalizedWithDiagnostic) {
-  IngestRuntime::Options o;
-  o.shards = 2;
-  o.overflow = OverflowPolicy::kDropOldest;
-  std::string diag;
-  const auto n = IngestRuntime::Options::normalized(o, &diag);
-  EXPECT_EQ(OverflowPolicy::kDropNewest, n.overflow);
-  EXPECT_NE(std::string::npos, diag.find("overflow"));
-
-  // Single-queue mode keeps kDropOldest untouched.
-  IngestRuntime::Options sq;
-  sq.overflow = OverflowPolicy::kDropOldest;
-  std::string diag2;
-  EXPECT_EQ(OverflowPolicy::kDropOldest,
-            IngestRuntime::Options::normalized(sq, &diag2).overflow);
-  EXPECT_EQ("", diag2);
-
-  // Construction bumps the policy_degraded counter exactly once.
-  telemetry::Registry reg;
-  o.registry = &reg;
-  IngestRuntime rt(o, stateless_factory(1e9), nullptr);
-  EXPECT_EQ(1u, reg.snapshot().counter_value("ingest.policy_degraded"));
-
-  EXPECT_STREQ("kDropOldest",
-               core::overflow_policy_name(OverflowPolicy::kDropOldest));
   EXPECT_STREQ("kDropNewest",
                core::overflow_policy_name(OverflowPolicy::kDropNewest));
   EXPECT_STREQ("kBlock", core::overflow_policy_name(OverflowPolicy::kBlock));

@@ -1,10 +1,10 @@
-// Ingestion runtime tests: bounded queue overflow policies, packet sources
-// (replay, pacing, fault injection), end-to-end runtime runs, and the
-// paced-vs-unpaced determinism the gateway story depends on.
+// Ingestion runtime tests: packet sources (replay, pacing, fault
+// injection), end-to-end runtime runs over the shard rings, drop
+// accounting, and the paced-vs-unpaced determinism the gateway story
+// depends on. The ring itself is covered by spsc_ring_test.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <thread>
 #include <vector>
 
@@ -18,7 +18,6 @@
 namespace lumen {
 namespace {
 
-using core::BoundedPacketQueue;
 using core::CollectingSink;
 using core::FnScorer;
 using core::IngestRuntime;
@@ -50,112 +49,6 @@ Trace make_trace(size_t n) {
   }
   netio::parse_trace(t);
   return t;
-}
-
-SourcePacket sp(uint32_t i) {
-  SourcePacket p;
-  p.capture_index = i;
-  p.pkt.ts = i;
-  return p;
-}
-
-TEST(BoundedQueue, BlocksUntilConsumerFrees) {
-  BoundedPacketQueue q(2, OverflowPolicy::kBlock);
-  ASSERT_TRUE(q.push(sp(0)));
-  ASSERT_TRUE(q.push(sp(1)));
-
-  std::atomic<bool> pushed{false};
-  std::thread producer([&] {
-    ASSERT_TRUE(q.push(sp(2)));  // blocks until a pop frees a slot
-    pushed.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(pushed.load());
-
-  SourcePacket out;
-  ASSERT_TRUE(q.pop(out));
-  EXPECT_EQ(out.capture_index, 0u);
-  producer.join();
-  EXPECT_TRUE(pushed.load());
-  EXPECT_EQ(q.dropped(), 0u);
-  EXPECT_EQ(q.high_water(), 2u);
-}
-
-TEST(BoundedQueue, DropOldestEvictsAndCounts) {
-  BoundedPacketQueue q(2, OverflowPolicy::kDropOldest);
-  ASSERT_TRUE(q.push(sp(0)));
-  ASSERT_TRUE(q.push(sp(1)));
-  ASSERT_TRUE(q.push(sp(2)));  // evicts 0
-  ASSERT_TRUE(q.push(sp(3)));  // evicts 1
-  EXPECT_EQ(q.dropped(), 2u);
-
-  SourcePacket out;
-  ASSERT_TRUE(q.pop(out));
-  EXPECT_EQ(out.capture_index, 2u);
-  ASSERT_TRUE(q.pop(out));
-  EXPECT_EQ(out.capture_index, 3u);
-}
-
-TEST(BoundedQueue, LateAttachedMirrorCatchesUpOnPreAttachDrops) {
-  // Regression: drops that happened before attach_telemetry used to be
-  // lost from the mirror forever — the counter and dropped() disagreed for
-  // the rest of the queue's life. Attachment now folds them in, and the
-  // shared locked bookkeeping keeps the two in lockstep afterwards.
-  BoundedPacketQueue q(2, OverflowPolicy::kDropOldest);
-  for (uint32_t i = 0; i < 5; ++i) ASSERT_TRUE(q.push(sp(i)));
-  EXPECT_EQ(q.dropped(), 3u);
-
-  telemetry::Registry reg;
-  telemetry::Counter& dropped = reg.counter("q.dropped");
-  q.attach_telemetry(nullptr, nullptr, &dropped);
-  EXPECT_EQ(dropped.value(), 3u);  // pre-attach drops folded in
-
-  ASSERT_TRUE(q.push(sp(5)));  // evicts one more
-  EXPECT_EQ(q.dropped(), 4u);
-  EXPECT_EQ(dropped.value(), 4u);  // mirror moved with the drop decision
-}
-
-TEST(BoundedQueue, DropMirrorNeverRunsAheadUnderConcurrentPops) {
-  // The counter bump shares the drop's critical section, so a scraper that
-  // samples the mirror first and the authoritative count second must never
-  // see mirror > dropped() — the one-batch divergence this ordering
-  // forbids. Hammered from three sides to give TSan something to chew on.
-  BoundedPacketQueue q(4, OverflowPolicy::kDropOldest);
-  telemetry::Registry reg;
-  telemetry::Counter& mirror = reg.counter("q.dropped");
-  q.attach_telemetry(nullptr, nullptr, &mirror);
-
-  std::atomic<bool> stop{false};
-  std::atomic<bool> ordered{true};
-  std::thread scraper([&] {
-    while (!stop.load()) {
-      const uint64_t mirrored = mirror.value();
-      const uint64_t authoritative = q.dropped();  // sampled after
-      if (mirrored > authoritative) ordered.store(false);
-    }
-  });
-  std::thread consumer([&] {
-    std::vector<SourcePacket> batch;
-    for (int i = 0; i < 200; ++i) q.pop_batch(batch, 3);
-  });
-  for (uint32_t i = 0; i < 4000; ++i) ASSERT_TRUE(q.push(sp(i)));
-  stop.store(true);
-  scraper.join();
-  q.close();
-  consumer.join();
-  EXPECT_TRUE(ordered.load());
-  EXPECT_GT(q.dropped(), 0u);
-  EXPECT_EQ(mirror.value(), q.dropped());
-}
-
-TEST(BoundedQueue, CloseDrainsThenStops) {
-  BoundedPacketQueue q(4, OverflowPolicy::kBlock);
-  ASSERT_TRUE(q.push(sp(0)));
-  q.close();
-  EXPECT_FALSE(q.push(sp(1)));  // closed: no new packets
-  SourcePacket out;
-  ASSERT_TRUE(q.pop(out));  // buffered packet still poppable
-  EXPECT_FALSE(q.pop(out));
 }
 
 TEST(Source, TraceReplayYieldsAllPacketsInOrder) {
@@ -252,12 +145,6 @@ TEST(Source, FaultSourceResetReplaysIdentically) {
 }
 
 // A trivial deterministic scorer: alert on any payload-carrying packet.
-IngestRuntime::Options one_consumer() {
-  IngestRuntime::Options o;
-  o.consumers = 1;
-  return o;
-}
-
 core::ScorerFactory payload_scorer() {
   return [](size_t) {
     return std::make_unique<FnScorer>(
@@ -272,7 +159,7 @@ TEST(Runtime, ScoresEveryPacketAndCountsAlerts) {
   Trace t = make_trace(21);  // payload sizes cycle 0..6: 18 of 21 non-empty
   TraceReplaySource src(t);
   CollectingSink sink;
-  IngestRuntime rt(one_consumer(), payload_scorer(), &sink);
+  IngestRuntime rt(IngestRuntime::Options{}, payload_scorer(), &sink);
   auto stats = rt.run(src);
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats.value().enqueued, 21u);
@@ -286,10 +173,10 @@ TEST(Runtime, ScoresEveryPacketAndCountsAlerts) {
 
 TEST(Runtime, MultiConsumerConservesPackets) {
   Trace t = make_trace(400);
-  for (size_t consumers : {2u, 4u}) {
+  for (size_t shards : {2u, 4u}) {
     TraceReplaySource src(t);
     IngestRuntime::Options opts;
-    opts.consumers = consumers;
+    opts.shards = shards;
     CollectingSink sink;
     IngestRuntime rt(opts, payload_scorer(), &sink);
     auto stats = rt.run(src);
@@ -310,38 +197,13 @@ TEST(Runtime, FaultySourceSkipsUnparseableKeepsRest) {
   faults.seed = 11;
   FaultInjectingSource src(inner, faults);
   CollectingSink sink;
-  IngestRuntime rt(one_consumer(), payload_scorer(), &sink);
+  IngestRuntime rt(IngestRuntime::Options{}, payload_scorer(), &sink);
   auto stats = rt.run(src);
   ASSERT_TRUE(stats.ok());
   const IngestStats& s = stats.value();
   EXPECT_EQ(s.enqueued, 300u);
   EXPECT_GT(s.parse_skipped, 0u);
   EXPECT_EQ(s.scored + s.parse_skipped, 300u);
-}
-
-TEST(Runtime, DropOldestUnderSlowConsumerCountsDrops) {
-  Trace t = make_trace(200);
-  TraceReplaySource src(t);
-  IngestRuntime::Options opts;
-  opts.consumers = 1;
-  opts.queue_capacity = 4;
-  opts.overflow = OverflowPolicy::kDropOldest;
-  // A slow scorer guarantees the tiny queue overflows.
-  auto slow = [](size_t) {
-    return std::make_unique<FnScorer>(
-        [](const netio::PacketView&) {
-          std::this_thread::sleep_for(std::chrono::microseconds(200));
-          return 0.0;
-        },
-        1.0);
-  };
-  IngestRuntime rt(opts, slow, nullptr);
-  auto stats = rt.run(src);
-  ASSERT_TRUE(stats.ok());
-  const IngestStats& s = stats.value();
-  EXPECT_GT(s.dropped, 0u);
-  EXPECT_EQ(s.scored, s.enqueued - s.dropped);
-  EXPECT_LE(s.queue_high_water, 4u);
 }
 
 TEST(Runtime, PacedAndUnpacedReplayAlertIdentically) {
@@ -353,7 +215,7 @@ TEST(Runtime, PacedAndUnpacedReplayAlertIdentically) {
     opts.max_sleep = 0.001;
     TraceReplaySource src(t, opts);
     CollectingSink sink;
-    IngestRuntime rt(one_consumer(), payload_scorer(), &sink);
+    IngestRuntime rt(IngestRuntime::Options{}, payload_scorer(), &sink);
     auto stats = rt.run(src);
     EXPECT_TRUE(stats.ok());
     return sink.alerts().size();
@@ -372,7 +234,7 @@ TEST(Runtime, KitsuneScorerDetectsOnTheStream) {
   TraceReplaySource src(ds.trace, replay);
   CollectingSink sink;
   IngestRuntime rt(
-      one_consumer(),
+      IngestRuntime::Options{},
       [&proto](size_t) { return std::make_unique<core::KitsuneScorer>(proto); },
       &sink);
   auto stats = rt.run(src);
@@ -391,7 +253,7 @@ TEST(Runtime, RequestStopWindsDownGracefully) {
   Trace t = make_trace(5000);
   TraceReplaySource src(t);
   IngestRuntime::Options opts;
-  opts.consumers = 2;
+  opts.shards = 2;
   opts.queue_capacity = 8;
   IngestRuntime rt(opts, payload_scorer(), nullptr);
   std::thread stopper([&] {
@@ -404,47 +266,6 @@ TEST(Runtime, RequestStopWindsDownGracefully) {
   // Everything accepted was accounted for, even though we stopped early.
   const IngestStats& s = stats.value();
   EXPECT_EQ(s.scored + s.parse_skipped, s.enqueued - s.dropped);
-}
-
-TEST(BoundedQueue, PopBatchDrainsUpToMax) {
-  BoundedPacketQueue q(8, OverflowPolicy::kBlock);
-  for (uint32_t i = 0; i < 5; ++i) ASSERT_TRUE(q.push(sp(i)));
-  std::vector<SourcePacket> batch;
-  EXPECT_EQ(q.pop_batch(batch, 3), 3u);
-  ASSERT_EQ(batch.size(), 3u);
-  for (uint32_t i = 0; i < 3; ++i) EXPECT_EQ(batch[i].capture_index, i);
-  EXPECT_EQ(q.pop_batch(batch, 100), 2u);  // capped by queue content
-  ASSERT_EQ(batch.size(), 2u);
-  EXPECT_EQ(batch[0].capture_index, 3u);
-  EXPECT_EQ(batch[1].capture_index, 4u);
-  q.close();
-  EXPECT_EQ(q.pop_batch(batch, 4), 0u);  // closed and drained
-  EXPECT_TRUE(batch.empty());
-}
-
-TEST(BoundedQueue, PopBatchDrainsBufferedAfterClose) {
-  BoundedPacketQueue q(8, OverflowPolicy::kBlock);
-  ASSERT_TRUE(q.push(sp(0)));
-  ASSERT_TRUE(q.push(sp(1)));
-  q.close();
-  std::vector<SourcePacket> batch;
-  EXPECT_EQ(q.pop_batch(batch, 8), 2u);  // buffered packets still poppable
-  EXPECT_EQ(q.pop_batch(batch, 8), 0u);
-}
-
-TEST(BoundedQueue, PopBatchFreesBlockedProducer) {
-  BoundedPacketQueue q(2, OverflowPolicy::kBlock);
-  ASSERT_TRUE(q.push(sp(0)));
-  ASSERT_TRUE(q.push(sp(1)));
-  std::atomic<bool> pushed{false};
-  std::thread producer([&] {
-    ASSERT_TRUE(q.push(sp(2)));  // blocks until pop_batch frees slots
-    pushed.store(true);
-  });
-  std::vector<SourcePacket> batch;
-  EXPECT_EQ(q.pop_batch(batch, 2), 2u);
-  producer.join();
-  EXPECT_TRUE(pushed.load());
 }
 
 // The exact alert set must not depend on the batching knob: batch size
@@ -461,7 +282,6 @@ TEST(Runtime, BatchedAlertFlushPreservesAlertSet) {
   for (size_t batch : {1u, 7u, 64u, 1024u}) {
     TraceReplaySource src(t);
     IngestRuntime::Options opts;
-    opts.consumers = 1;
     opts.consumer_batch = batch;
     CollectingSink sink;
     IngestRuntime rt(opts, payload_scorer(), &sink);
@@ -480,10 +300,10 @@ TEST(Runtime, MultiConsumerBatchedFlushConservesAlerts) {
   Trace t = make_trace(500);
   size_t expected_alerts = 0;
   for (const auto& v : t.view) expected_alerts += v.payload_len > 0 ? 1 : 0;
-  for (size_t consumers : {2u, 4u}) {
+  for (size_t shards : {2u, 4u}) {
     TraceReplaySource src(t);
     IngestRuntime::Options opts;
-    opts.consumers = consumers;
+    opts.shards = shards;
     opts.consumer_batch = 16;
     CollectingSink sink;
     IngestRuntime rt(opts, payload_scorer(), &sink);
@@ -495,51 +315,6 @@ TEST(Runtime, MultiConsumerBatchedFlushConservesAlerts) {
   }
 }
 
-// Stress the queue's telemetry mirrors: producers racing drop-oldest
-// eviction against batched consumers must never lose a drop or high-water
-// update, and the attached instruments must agree with the queue's own
-// accounting once everything drains. Run under tools/check_tsan.sh to get
-// the race coverage this test exists for.
-TEST(BoundedQueue, TelemetryMirrorsStayExactUnderStress) {
-  telemetry::Registry reg;
-  telemetry::Gauge& depth = reg.gauge("q.depth");
-  telemetry::Gauge& high_water = reg.gauge("q.high_water");
-  telemetry::Counter& dropped = reg.counter("q.dropped");
-  BoundedPacketQueue q(8, OverflowPolicy::kDropOldest);
-  q.attach_telemetry(&depth, &high_water, &dropped);
-
-  constexpr size_t kProducers = 3, kConsumers = 3;
-  constexpr uint32_t kPerProducer = 4000;
-  std::atomic<uint64_t> popped{0};
-  std::vector<std::thread> producers, consumers;
-  for (size_t p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&q] {
-      for (uint32_t i = 0; i < kPerProducer; ++i) {
-        EXPECT_TRUE(q.push(sp(i)));  // drop-oldest: push never fails
-      }
-    });
-  }
-  for (size_t c = 0; c < kConsumers; ++c) {
-    consumers.emplace_back([&q, &popped] {
-      std::vector<SourcePacket> batch;
-      while (q.pop_batch(batch, 16) > 0) {
-        popped.fetch_add(batch.size(), std::memory_order_relaxed);
-      }
-    });
-  }
-  for (std::thread& t : producers) t.join();
-  q.close();
-  for (std::thread& t : consumers) t.join();
-
-  const uint64_t pushed = kProducers * kPerProducer;
-  EXPECT_EQ(popped.load() + q.dropped(), pushed);
-  EXPECT_EQ(dropped.value(), q.dropped());
-  EXPECT_DOUBLE_EQ(high_water.value(), static_cast<double>(q.high_water()));
-  EXPECT_LE(q.high_water(), 8u);
-  EXPECT_GE(q.high_water(), 1u);
-  EXPECT_DOUBLE_EQ(depth.value(), 0.0);  // fully drained
-}
-
 // The IngestStats façade must read back exactly what the registry holds:
 // same run, same numbers, whether consumed through stats() or a Snapshot.
 TEST(Runtime, StatsRoundTripThroughTelemetrySnapshot) {
@@ -547,7 +322,7 @@ TEST(Runtime, StatsRoundTripThroughTelemetrySnapshot) {
   TraceReplaySource src(t);
   telemetry::Registry reg;
   IngestRuntime::Options opts;
-  opts.consumers = 2;
+  opts.shards = 2;
   opts.consumer_batch = 16;
   opts.registry = &reg;
   opts.instrument_prefix = "t.";
@@ -603,7 +378,7 @@ TEST(Runtime, NullRegistryStillAccounts) {
   IngestRuntime::Options opts;
   opts.registry = nullptr;
   opts.queue_capacity = 4;
-  opts.overflow = OverflowPolicy::kDropOldest;
+  opts.overflow = OverflowPolicy::kDropNewest;
   IngestRuntime rt(opts, payload_scorer(), nullptr);
   auto stats = rt.run(src);
   ASSERT_TRUE(stats.ok());
@@ -618,16 +393,15 @@ TEST(Runtime, NullRegistryStillAccounts) {
 
 // Regression: back-to-back runs against one shared registry used to leak
 // the previous run's queue.high_water gauge (and with it the stats façade's
-// queue numbers) into the next run, because gauges — unlike counters — are
-// absolute and were never re-zeroed when a queue re-attached. Force drops
+// ring numbers) into the next run, because gauges — unlike counters — are
+// absolute and were never re-zeroed when a run started. Force drops
 // in every run and check each run's accounting closes on its own numbers.
 TEST(Runtime, TwoRunsOneRegistryKeepDropAccountingExact) {
   Trace t = make_trace(160);
   telemetry::Registry reg;
   IngestRuntime::Options opts;
-  opts.consumers = 1;
   opts.queue_capacity = 4;
-  opts.overflow = OverflowPolicy::kDropOldest;
+  opts.overflow = OverflowPolicy::kDropNewest;
   opts.registry = &reg;
   opts.instrument_prefix = "shared.";
   auto slow = [](size_t) {
@@ -653,7 +427,7 @@ TEST(Runtime, TwoRunsOneRegistryKeepDropAccountingExact) {
     EXPECT_EQ(s.enqueued, 160u) << "run " << run;
     EXPECT_EQ(s.scored + s.parse_skipped + s.dropped, s.enqueued)
         << "run " << run;
-    EXPECT_GT(s.dropped, 0u) << "run " << run;  // the tiny queue overflowed
+    EXPECT_GT(s.dropped, 0u) << "run " << run;  // the tiny ring overflowed
     EXPECT_LE(s.queue_high_water, 4u) << "run " << run;
     total_enqueued += s.enqueued;
     total_dropped += s.dropped;
@@ -685,7 +459,8 @@ TEST(Runtime, TwoRunsOneRegistryKeepDropAccountingExact) {
   EXPECT_EQ(snap.counter_value("shared.parse_skipped"), total_skipped);
   EXPECT_EQ(static_cast<size_t>(snap.gauge_value("shared.queue.high_water")),
             last.queue_high_water);
-  EXPECT_DOUBLE_EQ(snap.gauge_value("shared.queue.depth"), 0.0);
+  // Rings publish no live depth gauge (it could only ever read 0).
+  EXPECT_EQ(snap.find_gauge("shared.queue.depth"), nullptr);
 }
 
 TEST(Runtime, ConsumerExceptionPropagatesToCaller) {
@@ -698,8 +473,10 @@ TEST(Runtime, ConsumerExceptionPropagatesToCaller) {
         },
         1.0);
   };
-  IngestRuntime rt(one_consumer(), throwing, nullptr);
+  IngestRuntime rt(IngestRuntime::Options{}, throwing, nullptr);
   EXPECT_THROW((void)rt.run(src), std::runtime_error);
+  // The failed run is over: the runtime accepts tenants again.
+  EXPECT_TRUE(rt.register_tenant(7, payload_scorer()));
 }
 
 }  // namespace

@@ -467,7 +467,6 @@ TEST(StreamingRuntime, PipelineModeMatchesDirectPush) {
   // an instrumented chain (per-operator spans + chain counters).
   telemetry::Registry reg;
   IngestRuntime::Options opts;
-  opts.consumers = 1;
   opts.registry = &reg;
   CollectingEpochSink sink;
   IngestRuntime rt(
@@ -530,7 +529,6 @@ TEST(StreamingRuntime, LoopingReplayKeepsGroupPopulationBounded) {
   const auto run_loops = [&](size_t loops) {
     CollectingEpochSink sink;
     IngestRuntime::Options opts;
-    opts.consumers = 1;
     opts.registry = nullptr;
     IngestRuntime rt(
         opts,
